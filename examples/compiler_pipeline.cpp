@@ -60,10 +60,10 @@ int main() {
       extract_input(loop, analysis, "hist", 256, bindings);
 
   // --- The adaptive runtime takes it from here.
-  SmartAppsRuntime rt;
+  Runtime rt;
   std::vector<double> w(kDim, 0.0), hist(256, 0.0);
-  rt.reducer("assemble.w").invoke(w_input, w);
-  rt.reducer("assemble.hist").invoke(hist_input, hist);
+  (void)rt.submit("assemble.w", w_input, w);
+  (void)rt.submit("assemble.hist", hist_input, hist);
   std::printf("%s", rt.report().c_str());
 
   // Sanity against sequential execution.

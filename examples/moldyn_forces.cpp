@@ -18,8 +18,10 @@ int main() {
   constexpr int kTimesteps = 24;
   constexpr int kRebuildEvery = 4;
 
-  SmartAppsRuntime rt(SmartAppsRuntime::Options{.threads = 0});
-  AdaptiveReducer& forces_loop = rt.reducer("ComputeForces");
+  Runtime rt;
+  // State is read back through the site; it is only ever submitted to from
+  // this thread.
+  const AdaptiveReducer& forces_loop = rt.site("ComputeForces");
 
   std::size_t particles = 3000;
   std::size_t pairs = 60000;
@@ -38,7 +40,7 @@ int main() {
         /*seed=*/1000 + step / kRebuildEvery);
 
     forces.assign(w.input.pattern.dim, 0.0);
-    const SchemeResult r = forces_loop.invoke(w.input, forces);
+    const SchemeResult r = rt.submit("ComputeForces", w.input, forces);
     std::printf("%4d  %-6s  %-6zu  %8.2f   %5u   %5u\n", step,
                 to_string(forces_loop.current()).data(), pairs,
                 r.total_s() * 1e3, forces_loop.recharacterizations(),

@@ -26,12 +26,12 @@ int main() {
   params.seed = 42;
   const ReductionInput input = workloads::make_synthetic(params);
 
-  // The runtime owns the thread pool and the calibrated cost models.
-  SmartAppsRuntime rt;
-  AdaptiveReducer& loop = rt.reducer("quickstart");
-
+  // The runtime owns the thread pool and the calibrated cost models; a
+  // loop site is created on its first submission.
+  Runtime rt;
   std::vector<double> w(input.pattern.dim, 0.0);
-  const SchemeResult r = loop.invoke(input, w);
+  const SchemeResult r = rt.submit("quickstart", input, w);
+  const AdaptiveReducer& loop = rt.site("quickstart");
 
   std::printf("selected scheme : %s\n", to_string(loop.current()).data());
   std::printf("rationale       : %s\n", loop.decision().rationale.c_str());

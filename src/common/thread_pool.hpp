@@ -20,8 +20,8 @@
 //     cursor never false-share;
 //   - `parallel_for_dynamic` claims chunks from that padded atomic cursor
 //     instead of taking a lock.
-// The `overhead` experiment (src/repro/exp_overhead.cpp) measures this
-// design against the previous mutex+condvar+std::function pool.
+// The `overhead` experiment (src/repro/exp_overhead.cpp) measures its
+// per-region dispatch latency; CI holds it under an absolute ceiling.
 #pragma once
 
 #include <atomic>
@@ -72,7 +72,7 @@ struct Range {
 ///
 /// Regions must be dispatched from one thread at a time (the owner of the
 /// fork-join structure), must not throw, and must not recursively dispatch
-/// onto the same pool — the same discipline the previous condvar pool had.
+/// onto the same pool.
 class ThreadPool {
  public:
   /// Create a pool with `nthreads` workers (>=1). `nthreads - 1` helper

@@ -2,7 +2,7 @@
 
 #include <charconv>
 #include <cmath>
-#include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "reductions/registry.hpp"
@@ -44,12 +44,19 @@ bool from_hex(const std::string& s, std::uint64_t& out) {
   return ec == std::errc{} && p == s.data() + s.size();
 }
 
-bool read_u64_number(const JsonValue& obj, const char* key,
-                     std::uint64_t& out) {
-  const JsonValue* v = obj.find(key);
-  if (v == nullptr || !v->is_number() || v->as_number() < 0) return false;
-  out = static_cast<std::uint64_t>(v->as_number());
-  return true;
+/// `v` as a T when it is a non-negative integral JSON number that T can
+/// hold; nullopt otherwise. Shard files come from disk, and casting a
+/// negative, non-finite or out-of-range double to an integer is undefined
+/// behaviour — such a document is malformed (a cold start) instead.
+template <typename T>
+std::optional<T> read_count(const JsonValue* v) {
+  if (v == nullptr || !v->is_number()) return std::nullopt;
+  const double x = v->as_number();
+  // 2^digits(T), exact in a double: every integral x below it fits in T.
+  const double limit =
+      2.0 * static_cast<double>(std::numeric_limits<T>::max() / 2 + 1);
+  if (!(x >= 0.0 && x < limit) || x != std::floor(x)) return std::nullopt;
+  return static_cast<T>(x);
 }
 
 bool read_hex(const JsonValue& obj, const char* key, std::uint64_t& out) {
@@ -145,7 +152,7 @@ std::optional<DecisionCache> DecisionCache::from_json(std::string_view text,
   if (!doc->is_object()) return fail("decision cache root is not an object");
   const JsonValue* ver = doc->find("schema_version");
   if (ver == nullptr || !ver->is_number() ||
-      static_cast<int>(ver->as_number()) != kCacheSchemaVersion)
+      ver->as_number() != kCacheSchemaVersion)
     return fail("decision cache has a missing or unsupported schema_version");
   const JsonValue* sites = doc->find("sites");
   if (sites == nullptr || !sites->is_array())
@@ -157,11 +164,11 @@ std::optional<DecisionCache> DecisionCache::from_json(std::string_view text,
     CachedDecision d;
     const JsonValue* site = s.find("site");
     const JsonValue* scheme = s.find("scheme");
-    const JsonValue* threads = s.find("threads");
+    const auto threads = read_count<unsigned>(s.find("threads"));
     const JsonValue* sig = s.find("signature");
     if (site == nullptr || !site->is_string() || scheme == nullptr ||
-        !scheme->is_string() || threads == nullptr || !threads->is_number() ||
-        sig == nullptr || !sig->is_object())
+        !scheme->is_string() || !threads.has_value() || sig == nullptr ||
+        !sig->is_object())
       return fail("site entry is missing site/scheme/threads/signature");
     d.site = site->as_string();
     try {
@@ -169,17 +176,17 @@ std::optional<DecisionCache> DecisionCache::from_json(std::string_view text,
     } catch (const std::invalid_argument&) {
       return fail("unknown scheme name '" + scheme->as_string() + "'");
     }
-    d.threads = static_cast<unsigned>(threads->as_number());
-    std::uint64_t dim = 0, iterations = 0, refs = 0;
-    if (!read_u64_number(*sig, "dim", dim) ||
-        !read_u64_number(*sig, "iterations", iterations) ||
-        !read_u64_number(*sig, "refs", refs) ||
+    d.threads = *threads;
+    const auto dim = read_count<std::size_t>(sig->find("dim"));
+    const auto iterations = read_count<std::size_t>(sig->find("iterations"));
+    const auto refs = read_count<std::size_t>(sig->find("refs"));
+    if (!dim || !iterations || !refs ||
         !read_hex(*sig, "index_sum", d.signature.sampled_index_sum) ||
         !read_hex(*sig, "index_xor", d.signature.sampled_index_xor))
       return fail("malformed signature for site '" + d.site + "'");
-    d.signature.dim = static_cast<std::size_t>(dim);
-    d.signature.iterations = static_cast<std::size_t>(iterations);
-    d.signature.refs = static_cast<std::size_t>(refs);
+    d.signature.dim = *dim;
+    d.signature.iterations = *iterations;
+    d.signature.refs = *refs;
     if (const JsonValue* pred = s.find("predicted_total_s");
         pred != nullptr && pred->is_number() && pred->as_number() >= 0)
       d.predicted_total_s = pred->as_number();
@@ -198,40 +205,18 @@ std::optional<DecisionCache> DecisionCache::from_json(std::string_view text,
     if (d.phase_times_s.size() > kMaxPhaseHistory)
       return fail("phase_times_s for site '" + d.site +
                   "' exceeds the history cap");
-    (void)read_u64_number(s, "invocations", d.invocations);
+    // Optional (absent = no evidence yet), but never a garbage count.
+    if (const JsonValue* inv = s.find("invocations"); inv != nullptr) {
+      const auto n = read_count<std::uint64_t>(inv);
+      if (!n) return fail("malformed invocations for site '" + d.site + "'");
+      d.invocations = *n;
+    }
     if (const JsonValue* why = s.find("rationale");
         why != nullptr && why->is_string())
       d.rationale = why->as_string();
     cache.put(std::move(d));
   }
   return cache;
-}
-
-bool DecisionCache::save(const std::string& path, std::string* error) const {
-  std::ofstream file(path);
-  if (!file) {
-    if (error != nullptr) *error = "cannot open '" + path + "' for writing";
-    return false;
-  }
-  file << to_json();
-  file.flush();
-  if (!file) {
-    if (error != nullptr) *error = "write to '" + path + "' failed";
-    return false;
-  }
-  return true;
-}
-
-std::optional<DecisionCache> DecisionCache::load(const std::string& path,
-                                                 std::string* error) {
-  std::ifstream file(path);
-  if (!file) {
-    if (error != nullptr) *error = "cannot open '" + path + "'";
-    return std::nullopt;
-  }
-  std::ostringstream buf;
-  buf << file.rdbuf();
-  return from_json(buf.str(), error);
 }
 
 }  // namespace sapp

@@ -1,4 +1,4 @@
-// Persistent decision cache — learned scheme choices that survive restarts.
+// Decision cache — learned scheme choices that survive restarts.
 //
 // The paper's Fig. 2 ToolBox keeps "application and system specific
 // databases"; this is the application half: per loop site, the scheme the
@@ -11,18 +11,17 @@
 // detector immediately — a warm-started site whose cached history
 // contradicts fresh measurements re-characterizes within the first
 // monitored window instead of trusting the stale scheme.
-// Persistence is explicit: `Runtime::save_decisions()` writes the
-// file (typically at the end of a run); the constructor loads
-// `RuntimeOptions::decision_cache_path` when it is set. A cached entry is
-// only adopted when the first observed pattern still matches its recorded
-// signature — otherwise the site falls back to the normal
-// characterize-and-decide path.
+// A cached entry is only adopted when the first observed pattern still
+// matches its recorded signature — otherwise the site falls back to the
+// normal characterize-and-decide path.
 //
-// The file format is JSON rendered by src/repro/json (schema documented in
-// docs/adaptivity.md, "The on-disk decision cache"; schema_version 2 —
-// version-1 files without phase history are treated as absent, a graceful
-// cold start). Caches are host- and thread-count-specific, like the rest
-// of docs/results/.
+// A DecisionCache is the in-memory document of one shard of the
+// ShardedDecisionStore (decision_store.hpp), which owns all file I/O:
+// `<decision_cache_dir>/shard-<k>.json`, each rendered by `to_json` via
+// src/repro/json (schema documented in docs/adaptivity.md, "The on-disk
+// decision cache"; schema_version 2 — version-1 documents without phase
+// history are treated as absent, a graceful cold start). Caches are
+// host- and thread-count-specific, like the rest of docs/results/.
 #pragma once
 
 #include <optional>
@@ -90,16 +89,12 @@ class DecisionCache {
                                     unsigned threads, double tolerance);
 
   /// JSON round trip (entries in insertion order; stable diffs).
+  /// `from_json` returns nullopt (with an error message) on a malformed
+  /// document — including out-of-range or non-integral counts — so the
+  /// shard it came from loads cold, never a crash.
   [[nodiscard]] std::string to_json() const;
   [[nodiscard]] static std::optional<DecisionCache> from_json(
       std::string_view text, std::string* error = nullptr);
-
-  /// File round trip. `load` returns nullopt (with an error message) on a
-  /// missing, unreadable or malformed file — a cold start, never a crash.
-  [[nodiscard]] bool save(const std::string& path,
-                          std::string* error = nullptr) const;
-  [[nodiscard]] static std::optional<DecisionCache> load(
-      const std::string& path, std::string* error = nullptr);
 
  private:
   std::vector<CachedDecision> entries_;

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <utility>
 
 namespace sapp {
@@ -61,7 +63,14 @@ std::size_t ShardedDecisionStore::load(std::string* error) {
     const std::string path = shard_path(i);
     if (!std::filesystem::exists(path, ec)) continue;
     std::string err;
-    auto cache = DecisionCache::load(path, &err);
+    std::optional<DecisionCache> cache;
+    if (std::ifstream file(path); file) {
+      std::ostringstream text;
+      text << file.rdbuf();
+      cache = DecisionCache::from_json(text.str(), &err);
+    } else {
+      err = "cannot open";
+    }
     if (!cache.has_value()) {
       // A torn or alien file is a cold shard, never a crash. (Atomic
       // renames make this unreachable for our own writes; it guards
@@ -156,6 +165,7 @@ void ShardedDecisionStore::set_flush_failure_hook(FlushFailureHook hook) {
 std::size_t ShardedDecisionStore::drain(const Snapshotter& snap,
                                         std::string* error) {
   if (!persistent()) return 0;
+  std::scoped_lock drain_lk(drain_mu_);
   std::size_t written = 0;
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     Shard& s = shards_[i];

@@ -1,12 +1,10 @@
-// ShardedDecisionStore — the serving-scale persistence engine behind the
-// decision cache.
+// ShardedDecisionStore — the one persistence path of the decision cache.
 //
-// The single-file DecisionCache (decision_cache.hpp) rewrites one JSON
-// document per save, which is fine for an end-of-run snapshot but not for
-// a runtime serving thousands of churning sites: every flush would
-// serialize every site, and a crash mid-rewrite loses the whole database.
-// The store splits the cache across `shards` files keyed by a stable
-// 64-bit FNV-1a fingerprint of the site id:
+// One JSON document for the whole database would not suit a runtime
+// serving thousands of churning sites: every flush would serialize every
+// site, and a crash mid-rewrite would lose the whole database. The store
+// splits the cache across `shards` files keyed by a stable 64-bit FNV-1a
+// fingerprint of the site id, and owns all of its file I/O:
 //
 //     <dir>/shard-<k>.json        (each file is a DecisionCache document)
 //
@@ -100,7 +98,7 @@ class ShardedDecisionStore {
   [[nodiscard]] std::optional<CachedDecision> get(
       std::string_view site) const;
   [[nodiscard]] std::size_t size() const;
-  /// Every entry folded into one single-file cache (legacy save path).
+  /// Every entry folded into one document (Runtime::persisted_decisions).
   [[nodiscard]] DecisionCache merged() const;
 
   /// Record that `site`'s live state has advanced past what the store
@@ -112,7 +110,8 @@ class ShardedDecisionStore {
   /// Flush every dirty shard: refresh each dirty site via `snap` (when
   /// given), then rewrite the shard file atomically. Returns the number
   /// of shard files written; failed shards stay dirty for retry. Safe to
-  /// call concurrently with put/mark_dirty.
+  /// call concurrently with put/mark_dirty and with other drains (drains
+  /// serialize: two writers of one shard's temp file would tear it).
   std::size_t drain(const Snapshotter& snap = nullptr,
                     std::string* error = nullptr);
 
@@ -138,6 +137,9 @@ class ShardedDecisionStore {
 
   DecisionStoreOptions opt_;
   std::vector<Shard> shards_;
+  /// Held for a whole drain(): guards the shard files (and their .tmp
+  /// siblings) on disk, which one writer at a time may touch.
+  std::mutex drain_mu_;
   mutable std::mutex hook_mu_;
   FlushFailureHook hook_;
   std::atomic<std::uint64_t> flushes_{0};

@@ -37,10 +37,6 @@ Runtime::Runtime(RuntimeOptions opt) : opt_(std::move(opt)) {
     // Missing or torn shards are cold shards, never an error.
     (void)store_->load();
   }
-  if (!opt_.decision_cache_path.empty()) {
-    // A missing or corrupt cache is a cold start, never an error.
-    (void)load_decisions(opt_.decision_cache_path);
-  }
   if (store_->persistent() || opt_.site_ttl_s > 0.0)
     maintenance_ = std::thread([this] { maintenance_loop(); });
 }
@@ -350,33 +346,6 @@ DecisionCache Runtime::snapshot_decisions() const {
 }
 
 DecisionCache Runtime::persisted_decisions() const { return store_->merged(); }
-
-bool Runtime::save_decisions(const std::string& path,
-                             std::string* error) const {
-  // Store entries (loaded + evicted sites) first, then live sites on top:
-  // a site that is both evicted-stale and live resolves to live state.
-  DecisionCache all = store_->merged();
-  for_each_site([&](const std::string& id, const AdaptiveReducer& r) {
-    if (r.invocations() == 0) return;
-    all.put(snapshot_site(id, r));
-  });
-  return all.save(path, error);
-}
-
-bool Runtime::save_decisions(std::string* error) const {
-  if (opt_.decision_cache_path.empty()) {
-    if (error != nullptr) *error = "no decision_cache_path configured";
-    return false;
-  }
-  return save_decisions(opt_.decision_cache_path, error);
-}
-
-bool Runtime::load_decisions(const std::string& path, std::string* error) {
-  auto loaded = DecisionCache::load(path, error);
-  if (!loaded.has_value()) return false;
-  for (const auto& e : loaded->entries()) store_->put(e);
-  return true;
-}
 
 std::size_t Runtime::warm_entries() const { return store_->size(); }
 

@@ -1,5 +1,5 @@
 // sapp::Runtime — the process-wide multi-site adaptive runtime (Fig. 1 at
-// scale), plus the SmartAppsRuntime single-threaded facade it grew from.
+// scale), the one entry point through which loop sites are driven.
 //
 // One Runtime serves every reduction loop site of an application:
 //
@@ -30,12 +30,11 @@
 //     in the sharded decision store (decision_store.hpp); a maintenance
 //     thread snapshots dirty sites and flushes changed shards atomically
 //     (temp file + rename) on an interval, and the destructor drains
-//     cleanly. No file I/O ever runs on the submit path.
+//     cleanly. No file I/O ever runs on the submit path. A restart is a
+//     fresh Runtime on the same `decision_cache_dir`.
 //
-// The legacy single-file workflow (`decision_cache_path` + explicit
-// `save_decisions()`/`load_decisions()`) still works and now also seeds
-// the store; `sapp_repro serving` measures the whole arrangement under
-// sustained multi-threaded churn and CI gates its throughput and p99.
+// `sapp_repro serving` measures the whole arrangement under sustained
+// multi-threaded churn and CI gates its throughput and p99.
 #pragma once
 
 #include <array>
@@ -61,15 +60,11 @@ struct RuntimeOptions {
   unsigned threads = 0;   ///< 0 = hardware concurrency
   bool calibrate = true;  ///< micro-calibrate MachineCoeffs at startup
   AdaptiveOptions adaptive{};
-  /// Path of the legacy single-file decision cache. When non-empty, the
-  /// constructor loads it (silently starting cold if missing/corrupt) and
-  /// `save_decisions()` with no argument writes back to it.
-  std::string decision_cache_path;
   /// Directory of the sharded, asynchronously persisted decision store.
   /// When non-empty, the constructor loads every shard for warm starts
-  /// and a maintenance thread flushes learned decisions back on
-  /// `flush_interval_s` — the serving-scale replacement for the explicit
-  /// single-file save.
+  /// (a missing or corrupt shard is a cold start), a maintenance thread
+  /// flushes learned decisions back on `flush_interval_s`, and the
+  /// destructor drains whatever is still dirty.
   std::string decision_cache_dir;
   /// Shard-file count of the decision store (clamped to [1, 256]).
   std::size_t decision_cache_shards = 16;
@@ -156,22 +151,14 @@ class Runtime {
   /// Everything the decision store knows: loaded shards, evicted sites,
   /// flushed snapshots. Live sites may have advanced past this.
   [[nodiscard]] DecisionCache persisted_decisions() const;
-  /// Save store + live-site decisions as one legacy single file. Returns
-  /// false (with `error`) on I/O failure.
-  bool save_decisions(const std::string& path,
-                      std::string* error = nullptr) const;
-  /// Save to `RuntimeOptions::decision_cache_path`.
-  bool save_decisions(std::string* error = nullptr) const;
-  /// Merge `path` into the decision store consulted when sites are
-  /// created. Entries for already-created sites do not apply retroactively.
-  bool load_decisions(const std::string& path, std::string* error = nullptr);
   /// The decisions currently offered to newly created sites.
   [[nodiscard]] std::size_t warm_entries() const;
   /// Synchronously flush dirty decisions to the store's shard files (the
   /// maintenance thread does this on an interval; this forces it now).
   /// Returns the number of shard files written.
   std::size_t flush_decisions(std::string* error = nullptr);
-  /// The sharded store (testing/metrics: flush counters, failure hook).
+  /// The sharded store (testing/metrics: flush counters, failure hook;
+  /// `put` before a site's first submission offers it that decision).
   [[nodiscard]] ShardedDecisionStore& decision_store() { return *store_; }
 
  private:
@@ -240,47 +227,6 @@ class Runtime {
   std::condition_variable maint_cv_;
   bool maint_stop_ = false;
   std::thread maintenance_;
-};
-
-/// The original single-site-table facade (Fig. 1 / Fig. 2): the shape of
-/// code the paper's run-time compiler would emit for a sequential
-/// application. Now a thin veneer over Runtime — new code should use
-/// Runtime directly (concurrent submission, decision persistence).
-class SmartAppsRuntime {
- public:
-  struct Options {
-    unsigned threads = 0;      ///< 0 = hardware concurrency
-    bool calibrate = true;     ///< micro-calibrate MachineCoeffs at startup
-    AdaptiveOptions adaptive{};
-  };
-
-  SmartAppsRuntime() : SmartAppsRuntime(Options{}) {}
-  explicit SmartAppsRuntime(Options opt) : rt_(to_runtime_options(opt)) {}
-
-  [[nodiscard]] ThreadPool& pool() { return rt_.pool(); }
-  [[nodiscard]] const MachineCoeffs& coeffs() const { return rt_.coeffs(); }
-
-  /// The adaptive reducer for the loop site `name` (created on first use).
-  [[nodiscard]] AdaptiveReducer& reducer(const std::string& name) {
-    return rt_.site(name);
-  }
-
-  /// Per-site summary: decisions, re-characterizations, switches.
-  [[nodiscard]] std::string report() const { return rt_.report(); }
-
-  /// The multi-site runtime underneath.
-  [[nodiscard]] Runtime& runtime() { return rt_; }
-
- private:
-  [[nodiscard]] static RuntimeOptions to_runtime_options(const Options& o) {
-    RuntimeOptions r;
-    r.threads = o.threads;
-    r.calibrate = o.calibrate;
-    r.adaptive = o.adaptive;
-    return r;
-  }
-
-  Runtime rt_;
 };
 
 }  // namespace sapp

@@ -1,20 +1,13 @@
 // Parallel-substrate overhead experiment:
-//   overhead — fork-join dispatch latency and parallel_for throughput of
-//              sapp::ThreadPool versus the previous-generation pool design.
+//   overhead — fork-join dispatch latency, parallel_for throughput and
+//              dynamic chunk-claim cost of sapp::ThreadPool.
 //
 // Every phase time the repo reproduces (Fig. 3 rankings, the Fig. 6
 // Init/Loop/Merge breakdown, Fig. 7 scalability) is measured on top of the
 // fork-join substrate, so its per-region cost is a floor under all of them.
-// This experiment keeps the old design — mutex+condvar handshake, a
-// std::function materialized per region, the caller blocked instead of
-// participating — alive as `LegacyCondvarPool` so the comparison is
-// measured by the harness on the current host, not claimed in prose.
+// The repro-smoke CI job holds `fork_join_ns_new` (ns per empty region)
+// under an absolute ceiling.
 #include <algorithm>
-#include <cstdint>
-#include <functional>
-#include <mutex>
-#include <condition_variable>
-#include <thread>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -25,87 +18,9 @@ namespace sapp::repro {
 
 namespace {
 
-/// DEPRECATED measured baseline — latency rows only. The seed repository's
-/// ThreadPool, verbatim in behaviour: `nthreads` detached-from-caller
-/// workers, one mutex + two condition variables per region, dispatch
-/// through `const std::function&` (so every `run(lambda)` call site
-/// allocates a std::function), and a caller that blocks idle —
-/// oversubscribing the machine by one thread. Per the ROADMAP trim, it is
-/// measured only in the `fork_join_latency` table (the throughput sweep
-/// converged with the new pool once regions grow memory-bound, so those
-/// rows carried no information); do not grow new uses of this class.
-class LegacyCondvarPool {
- public:
-  explicit LegacyCondvarPool(unsigned nthreads) : nthreads_(nthreads) {
-    workers_.reserve(nthreads_);
-    for (unsigned t = 0; t < nthreads_; ++t)
-      workers_.emplace_back([this, t] { worker_main(t); });
-  }
-
-  ~LegacyCondvarPool() {
-    {
-      std::scoped_lock lk(mu_);
-      stop_ = true;
-    }
-    cv_start_.notify_all();
-    for (auto& w : workers_) w.join();
-  }
-
-  [[nodiscard]] unsigned size() const { return nthreads_; }
-
-  void run(const std::function<void(unsigned)>& f) {
-    std::unique_lock lk(mu_);
-    job_ = &f;
-    remaining_ = nthreads_;
-    ++epoch_;
-    cv_start_.notify_all();
-    cv_done_.wait(lk, [&] { return remaining_ == 0; });
-    job_ = nullptr;
-  }
-
-  void parallel_for(std::size_t n,
-                    const std::function<void(unsigned, Range)>& body) {
-    run([&](unsigned tid) {
-      const Range r = static_block(n, tid, nthreads_);
-      if (!r.empty()) body(tid, r);
-    });
-  }
-
- private:
-  void worker_main(unsigned tid) {
-    std::uint64_t seen = 0;
-    for (;;) {
-      const std::function<void(unsigned)>* job;
-      {
-        std::unique_lock lk(mu_);
-        cv_start_.wait(lk, [&] { return stop_ || epoch_ != seen; });
-        if (stop_ && epoch_ == seen) return;
-        seen = epoch_;
-        job = job_;
-      }
-      (*job)(tid);
-      {
-        std::scoped_lock lk(mu_);
-        if (--remaining_ == 0) cv_done_.notify_one();
-      }
-    }
-  }
-
-  unsigned nthreads_;
-  std::vector<std::thread> workers_;
-  std::mutex mu_;
-  std::condition_variable cv_start_;
-  std::condition_variable cv_done_;
-  const std::function<void(unsigned)>* job_ = nullptr;
-  std::uint64_t epoch_ = 0;
-  unsigned remaining_ = 0;
-  bool stop_ = false;
-};
-
 /// Median-of-reps nanoseconds per region for `regions` back-to-back empty
-/// dispatches on either pool type.
-template <typename Pool>
-double empty_region_ns(RunContext& ctx, Pool& pool, int regions) {
+/// dispatches.
+double empty_region_ns(RunContext& ctx, ThreadPool& pool, int regions) {
   const double secs = ctx.measure([&] {
     Timer t;
     for (int k = 0; k < regions; ++k) pool.run([](unsigned) {});
@@ -116,10 +31,9 @@ double empty_region_ns(RunContext& ctx, Pool& pool, int regions) {
 
 /// Median-of-reps nanoseconds per parallel_for region of size n (daxpy
 /// body: memory-streaming work representative of Init/Merge phases).
-template <typename Pool>
-double daxpy_region_ns(RunContext& ctx, Pool& pool, std::vector<double>& y,
-                       const std::vector<double>& x, std::size_t n,
-                       int regions) {
+double daxpy_region_ns(RunContext& ctx, ThreadPool& pool,
+                       std::vector<double>& y, const std::vector<double>& x,
+                       std::size_t n, int regions) {
   const double secs = ctx.measure([&] {
     Timer t;
     for (int k = 0; k < regions; ++k)
@@ -132,33 +46,26 @@ double daxpy_region_ns(RunContext& ctx, Pool& pool, std::vector<double>& y,
   return secs / regions * 1e9;
 }
 
-// The `overhead` experiment. Latency rows compare empty-region dispatch;
-// throughput rows sweep the region size to show where dispatch overhead
-// stops mattering; the dynamic table prices chunk self-scheduling.
+// The `overhead` experiment. The latency row prices empty-region
+// dispatch; throughput rows sweep the region size to show where dispatch
+// overhead stops mattering; the dynamic table prices chunk
+// self-scheduling.
 ExperimentResult run_overhead(RunContext& ctx) {
   ThreadPool& pool = ctx.pool();
-  LegacyCondvarPool legacy(ctx.threads());
 
   ExperimentResult res;
 
   // --- fork-join latency, empty regions -------------------------------
   const int regions = ctx.tiny() ? 2000 : 50000;
   const double ns_new = empty_region_ns(ctx, pool, regions);
-  const double ns_legacy = empty_region_ns(ctx, legacy, regions);
-  const double speedup = ns_new > 0.0 ? ns_legacy / ns_new : 0.0;
 
   ResultTable lat("fork_join_latency",
                   {"Pool", "Threads", "Regions", "ns/region"});
   lat.add_row({"fork-join (this repo)", pool.size(),
                static_cast<double>(regions), round_to(ns_new, 1)});
-  lat.add_row({"condvar+std::function (seed)", legacy.size(),
-               static_cast<double>(regions), round_to(ns_legacy, 1)});
   res.tables.push_back(std::move(lat));
 
   // --- parallel_for throughput vs region size -------------------------
-  // Current pool only: the legacy baseline is deprecated and kept for the
-  // latency rows above (its throughput rows converged with the new pool
-  // as regions grow memory-bound — no information, pure maintenance).
   const std::size_t max_n = ctx.tiny() ? (1u << 14) : (1u << 21);
   std::vector<double> y(max_n, 1.0), x(max_n, 0.5);
   ResultTable tp("parallel_for_throughput",
@@ -196,16 +103,6 @@ ExperimentResult run_overhead(RunContext& ctx) {
 
   res.metric("threads", pool.size());
   res.metric("fork_join_ns_new", round_to(ns_new, 1));
-  res.metric("fork_join_ns_legacy", round_to(ns_legacy, 1));
-  res.metric("fork_join_speedup", round_to(speedup, 2));
-  res.note("fork_join_speedup = legacy ns/region divided by new ns/region "
-           "for empty fork-join regions (dispatch latency only); the PR "
-           "gate is >= 3x.");
-  res.note("The legacy pool is the seed implementation kept verbatim "
-           "(mutex+condvar handshake, std::function per region, "
-           "non-participating caller) so the comparison is re-measured on "
-           "every host rather than claimed from old logs. It is deprecated "
-           "and measured in the latency rows only.");
   res.note("parallel_for rows show where dispatch cost is amortized as "
            "the region grows memory-bound (current pool only).");
   return res;
@@ -219,8 +116,8 @@ void register_overhead_experiments(ExperimentRegistry& r) {
          .paper_ref = "substrate (ROADMAP)",
          .description =
              "Measure per-region fork-join latency and parallel_for "
-             "throughput of the zero-allocation pool against the seed "
-             "condvar/std::function design, plus dynamic chunk-claim cost.",
+             "throughput of the zero-allocation pool, plus dynamic "
+             "chunk-claim cost.",
          .default_scale = 1.0,
          .run = run_overhead});
 }

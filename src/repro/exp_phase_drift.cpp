@@ -13,10 +13,7 @@
 // first monitored window of a warm start — the site adopts the cached
 // scheme, measures, and re-characterizes after at most
 // `PhaseMonitorOptions::time_drift_patience` invocations.
-#include <unistd.h>
-
 #include <cmath>
-#include <filesystem>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -136,14 +133,10 @@ ExperimentResult run_phase_drift(RunContext& ctx) {
   // --- stale phase history: warm start must re-decide -----------------
   // Learn the dense phase, then poison the persisted history as if the
   // cache came from a host 1000x faster (predicted_total_s cleared so the
-  // *history* path, not the model-prediction path, is what demotes).
-  // PID-qualified temp name: a fixed path would race a concurrent
-  // sapp_repro on the same host (one process's remove/overwrite landing
-  // between another's save and load).
-  const std::string cache_path =
-      (std::filesystem::temp_directory_path() /
-       ("sapp_phase_drift." + std::to_string(::getpid()) + ".cache.json"))
-          .string();
+  // *history* path, not the model-prediction path, is what demotes). The
+  // doctored entry goes straight into a fresh Runtime's decision store
+  // before its first submission — no file involved.
+  CachedDecision doctored;
   {
     Runtime learner(runtime_options(ctx, false));
     for (int k = 0; k < 8; ++k) (void)learner.submit(dense, out);
@@ -151,22 +144,17 @@ ExperimentResult run_phase_drift(RunContext& ctx) {
     const CachedDecision* learned = snap.find(site);
     if (learned == nullptr)
       throw std::runtime_error("phase_drift: no cached decision for " + site);
-    CachedDecision doctored = *learned;
+    doctored = *learned;
     doctored.predicted_total_s = 0.0;
     for (auto& t : doctored.phase_times_s) t /= 1000.0;
-    DecisionCache poisoned;
-    poisoned.put(std::move(doctored));
-    std::string err;
-    if (!poisoned.save(cache_path, &err))
-      throw std::runtime_error("cannot write decision cache: " + err);
   }
   int recheck_invocation = 0;
   bool adopted = false;
   int window = 0;
   {
-    RuntimeOptions o = runtime_options(ctx, false);
-    o.decision_cache_path = cache_path;
+    const RuntimeOptions o = runtime_options(ctx, false);
     Runtime rt(o);
+    rt.decision_store().put(std::move(doctored));
     window = o.adaptive.monitor.time_drift_patience;
     for (int k = 1; k <= window + 4; ++k) {
       (void)rt.submit(dense, out);
@@ -177,8 +165,6 @@ ExperimentResult run_phase_drift(RunContext& ctx) {
       }
     }
   }
-  std::error_code ec;
-  std::filesystem::remove(cache_path, ec);
 
   const double speedup = post_ms[0] > 0.0 ? post_ms[1] / post_ms[0] : 0.0;
   res.metric("threads", ctx.threads());

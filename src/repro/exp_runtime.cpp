@@ -14,11 +14,12 @@
 //     characterize + decide on a cold start; a warm start adopts the
 //     cached decision and skips both. The CI repro-smoke gate requires
 //     warm_speedup >= 2x.
+#include <unistd.h>
+
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstdio>
 #include <filesystem>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -147,18 +148,27 @@ ExperimentResult run_adaptive_sites(RunContext& ctx) {
   res.tables.push_back(std::move(scaling));
 
   // --- cold vs warm start --------------------------------------------
-  const std::string cache_path =
+  // PID-qualified store directory, so concurrent sapp_repro runs on one
+  // host never share a shard file.
+  const std::string cache_dir =
       (std::filesystem::temp_directory_path() /
-       "sapp_adaptive_sites.cache.json")
+       ("sapp_adaptive_sites." + std::to_string(::getpid()) + ".cache"))
           .string();
+  std::filesystem::remove_all(cache_dir);
+  const auto warm_options = [&] {
+    RuntimeOptions o = runtime_options(ctx);
+    o.decision_cache_dir = cache_dir;
+    return o;
+  };
 
-  // Learn the decisions once and persist them.
-  Runtime learner(runtime_options(ctx));
-  for (std::size_t s = 0; s < S; ++s)
-    (void)learner.submit(sites[s], outs[s]);
-  std::string save_err;
-  if (!learner.save_decisions(cache_path, &save_err))
-    throw std::runtime_error("cannot write decision cache: " + save_err);
+  // Learn the decisions once; the learner's destructor drains them to the
+  // shard files, and every warm Runtime below is a restart on that
+  // directory.
+  {
+    Runtime learner(warm_options());
+    for (std::size_t s = 0; s < S; ++s)
+      (void)learner.submit(sites[s], outs[s]);
+  }
 
   // Per-site instrumented pass (cold vs warm), single shot for the table.
   ResultTable per_site("cold_vs_warm_per_site",
@@ -166,9 +176,10 @@ ExperimentResult run_adaptive_sites(RunContext& ctx) {
                         "Speedup", "Warm-started"});
   {
     Runtime cold(runtime_options(ctx));
-    RuntimeOptions wopt = runtime_options(ctx);
-    wopt.decision_cache_path = cache_path;
-    Runtime warm(wopt);
+    Runtime warm(warm_options());
+    if (warm.warm_entries() < S)
+      throw std::runtime_error("learned decisions did not persist to " +
+                               cache_dir);
     for (std::size_t s = 0; s < S; ++s) {
       Timer tc;
       (void)cold.submit(sites[s], outs[s]);
@@ -193,18 +204,14 @@ ExperimentResult run_adaptive_sites(RunContext& ctx) {
     return first_pass_seconds(rt, sites, outs);
   });
   const double warm_s = ctx.measure([&] {
-    RuntimeOptions o = runtime_options(ctx);
-    o.decision_cache_path = cache_path;
-    Runtime rt(o);
+    Runtime rt(warm_options());
     return first_pass_seconds(rt, sites, outs);
   });
 
   // Sanity: a warm-started runtime must still compute correct sums.
   std::size_t mismatches = 0;
   {
-    RuntimeOptions o = runtime_options(ctx);
-    o.decision_cache_path = cache_path;
-    Runtime rt(o);
+    Runtime rt(warm_options());
     for (std::size_t s = 0; s < S; ++s) {
       std::vector<double> got(sites[s].pattern.dim, 0.0);
       std::vector<double> ref(sites[s].pattern.dim, 0.0);
@@ -220,7 +227,7 @@ ExperimentResult run_adaptive_sites(RunContext& ctx) {
     }
   }
   std::error_code ec;
-  std::filesystem::remove(cache_path, ec);
+  std::filesystem::remove_all(cache_dir, ec);
 
   res.metric("sites", static_cast<double>(S));
   res.metric("threads", ctx.threads());
@@ -233,9 +240,10 @@ ExperimentResult run_adaptive_sites(RunContext& ctx) {
            "time over all sites (median of reps, fresh Runtime per rep); "
            "the repro-smoke gate requires >= 2x. A warm start adopts the "
            "cached scheme and skips characterize + decide.");
-  res.note("The decision cache is written to a temp file by the cold "
-           "runtime and deleted afterwards; docs/reproducing.md documents "
-           "the file format.");
+  res.note("The decision cache is a sharded store in a temp directory: "
+           "a learner Runtime drains it on destruction, every warm Runtime "
+           "reloads it, and it is deleted afterwards; docs/adaptivity.md "
+           "documents the shard format.");
   res.note("multi_site_scaling rows labelled '(1 shared site)' submit "
            "from T threads to one site (per-site serialization); numbered "
            "rows spread the sites round-robin over the T threads. "

@@ -2,10 +2,11 @@
 // phase monitor and the AdaptiveReducer feedback loop.
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <map>
 
 #include "core/adaptive.hpp"
 #include "core/runtime.hpp"
+#include "scoped_temp_dir.hpp"
 #include "workloads/workload.hpp"
 
 namespace sapp {
@@ -337,30 +338,6 @@ TEST(AdaptiveReducer, MispredictionSwitchesScheme) {
   EXPECT_NE(red.current(), SchemeKind::kRep);
 }
 
-// ---------------- runtime facade ----------------
-
-TEST(SmartAppsRuntime, SitesAreIndependentAndReported) {
-  SmartAppsRuntime rt(SmartAppsRuntime::Options{
-      .threads = 2, .calibrate = false, .adaptive = {}});
-  auto in = sparse_input();
-  std::vector<double> out(in.pattern.dim, 0.0);
-  rt.reducer("siteA").invoke(in, out);
-  auto& again = rt.reducer("siteA");
-  EXPECT_EQ(again.invocations(), 1u);
-  const std::string rep = rt.report();
-  EXPECT_NE(rep.find("siteA"), std::string::npos);
-  EXPECT_NE(rep.find("2 threads"), std::string::npos);
-}
-
-TEST(SmartAppsRuntime, CalibrationProducesPositiveCoefficients) {
-  SmartAppsRuntime rt(SmartAppsRuntime::Options{.threads = 2});
-  const MachineCoeffs& mc = rt.coeffs();
-  EXPECT_GT(mc.ns_update, 0.0);
-  EXPECT_GT(mc.ns_init, 0.0);
-  EXPECT_GT(mc.ns_atomic, 0.0);
-  EXPECT_GT(mc.fork_join_us, 0.0);
-}
-
 // ---------------- multi-site runtime + decision cache ----------------
 
 RuntimeOptions uncalibrated(unsigned threads) {
@@ -401,6 +378,17 @@ TEST(Runtime, UntaggedPatternsGetDimensionKeyedAnonymousSites) {
     EXPECT_EQ(rt.site(id).invocations(), 3u) << id;
     EXPECT_EQ(rt.site(id).recharacterizations(), 1u) << id;
   }
+}
+
+TEST(Runtime, CalibrationProducesPositiveCoefficients) {
+  RuntimeOptions o;
+  o.threads = 2;  // calibrate = true is the default under test
+  Runtime rt(o);
+  const MachineCoeffs& mc = rt.coeffs();
+  EXPECT_GT(mc.ns_update, 0.0);
+  EXPECT_GT(mc.ns_init, 0.0);
+  EXPECT_GT(mc.ns_atomic, 0.0);
+  EXPECT_GT(mc.fork_join_us, 0.0);
 }
 
 TEST(Runtime, SubmitRoutesBySiteIdAndByLoopId) {
@@ -456,9 +444,37 @@ TEST(DecisionCache, RejectsMalformedDocuments) {
   EXPECT_FALSE(
       DecisionCache::from_json(R"({"schema_version": 99, "sites": []})", &err)
           .has_value());
-  EXPECT_FALSE(DecisionCache::load("/nonexistent/path.json", &err)
-                   .has_value());
   EXPECT_FALSE(err.empty());
+
+  // Shard documents come from disk: a negative, non-integral or
+  // out-of-range count anywhere must reject the document (a cold shard),
+  // never be cast to an integer.
+  const auto shard = [](const std::string& field, const std::string& value) {
+    std::map<std::string, std::string> v = {
+        {"schema_version", "2"}, {"threads", "2"}, {"dim", "100"},
+        {"iterations", "10"},    {"refs", "20"},   {"invocations", "3"}};
+    v[field] = value;
+    return R"({"schema_version": )" + v["schema_version"] +
+           R"(, "sites": [{"site": "s", "scheme": "rep", "threads": )" +
+           v["threads"] + R"(, "signature": {"dim": )" + v["dim"] +
+           R"(, "iterations": )" + v["iterations"] + R"(, "refs": )" +
+           v["refs"] +
+           R"(, "index_sum": "0x1", "index_xor": "0x2"}, "phase_times_s": )"
+           R"([1e-3], "invocations": )" +
+           v["invocations"] + "}]}";
+  };
+  ASSERT_TRUE(DecisionCache::from_json(shard("dim", "100")).has_value())
+      << "the unmodified document must parse";
+  for (const char* field : {"schema_version", "threads", "dim", "iterations",
+                            "refs", "invocations"}) {
+    for (const char* bad : {"-1", "2.5", "1e20", "1e300"}) {
+      err.clear();
+      EXPECT_FALSE(DecisionCache::from_json(shard(field, bad), &err)
+                       .has_value())
+          << field << " = " << bad;
+      EXPECT_FALSE(err.empty()) << field << " = " << bad;
+    }
+  }
 }
 
 TEST(DecisionCache, MatchEnforcesDimThreadsAndTolerance) {
@@ -481,20 +497,26 @@ TEST(DecisionCache, MatchEnforcesDimThreadsAndTolerance) {
   EXPECT_FALSE(DecisionCache::matches(d, drifted, 2, 0.1));
 }
 
+/// Options of a Runtime persisting to the sharded store under `dir`: the
+/// learner's destructor drains its decisions there, and a fresh Runtime on
+/// the same directory is a restart that reloads them.
+RuntimeOptions persisted(unsigned threads, const ScopedTempDir& dir) {
+  RuntimeOptions o = uncalibrated(threads);
+  o.decision_cache_dir = dir.path();
+  return o;
+}
+
 TEST(Runtime, WarmStartAdoptsCachedSchemeAndSkipsCharacterization) {
   const auto in = sparse_input();
-  const std::string path = ::testing::TempDir() + "core_runtime_cache.json";
+  const ScopedTempDir dir;
   std::vector<double> out(in.pattern.dim, 0.0);
   SchemeKind learned{};
   {
-    Runtime learner(uncalibrated(2));
+    Runtime learner(persisted(2, dir));
     (void)learner.submit("site", in, out);
     learned = learner.site("site").current();
-    ASSERT_TRUE(learner.save_decisions(path));
   }
-  RuntimeOptions o = uncalibrated(2);
-  o.decision_cache_path = path;
-  Runtime rt(o);
+  Runtime rt(persisted(2, dir));
   EXPECT_EQ(rt.warm_entries(), 1u);
   std::fill(out.begin(), out.end(), 0.0);
   (void)rt.submit("site", in, out);
@@ -507,18 +529,15 @@ TEST(Runtime, WarmStartAdoptsCachedSchemeAndSkipsCharacterization) {
   run_sequential(in, ref);
   for (std::size_t e = 0; e < ref.size(); e += 503)
     ASSERT_NEAR(ref[e], out[e], 1e-8);
-  std::remove(path.c_str());
 }
 
 TEST(Runtime, WarmStartFallsBackToColdPathOnSignatureMismatch) {
   const auto in = sparse_input();
-  const std::string path =
-      ::testing::TempDir() + "core_runtime_cache_mismatch.json";
+  const ScopedTempDir dir;
   std::vector<double> out(in.pattern.dim, 0.0);
   {
-    Runtime learner(uncalibrated(2));
+    Runtime learner(persisted(2, dir));
     (void)learner.submit("site", in, out);
-    ASSERT_TRUE(learner.save_decisions(path));
   }
   // Same site id, structurally different pattern (dim changed).
   workloads::SynthParams p;
@@ -528,46 +547,38 @@ TEST(Runtime, WarmStartFallsBackToColdPathOnSignatureMismatch) {
   p.refs_per_iter = 3;
   p.seed = 78;
   const auto other = workloads::make_synthetic(p);
-  RuntimeOptions o = uncalibrated(2);
-  o.decision_cache_path = path;
-  Runtime rt(o);
+  Runtime rt(persisted(2, dir));
   std::vector<double> out2(other.pattern.dim, 0.0);
   (void)rt.submit("site", other, out2);
   const AdaptiveReducer& r = rt.site("site");
   EXPECT_FALSE(r.warm_started());
   EXPECT_EQ(r.recharacterizations(), 1u);  // cold path taken
-  std::remove(path.c_str());
 }
 
 TEST(Runtime, WarmSnapshotCarriesEvidenceAndPredictionForward) {
   const auto in = sparse_input();
-  const std::string path =
-      ::testing::TempDir() + "core_runtime_cache_carry.json";
+  const ScopedTempDir dir;
   std::vector<double> out(in.pattern.dim, 0.0);
   std::string original_rationale;
   {
-    Runtime learner(uncalibrated(2));
+    Runtime learner(persisted(2, dir));
     for (int k = 0; k < 5; ++k) (void)learner.submit("site", in, out);
     original_rationale = learner.site("site").decision().rationale;
-    ASSERT_TRUE(learner.save_decisions(path));
   }
-  const auto saved = DecisionCache::load(path);
+  Runtime rt(persisted(2, dir));
+  const auto saved = rt.decision_store().get("site");
   ASSERT_TRUE(saved.has_value());
-  EXPECT_GT(saved->find("site")->predicted_total_s, 0.0);
-  EXPECT_EQ(saved->find("site")->invocations, 5u);
+  EXPECT_GT(saved->predicted_total_s, 0.0);
+  EXPECT_EQ(saved->invocations, 5u);
 
-  // A warm-started run that saves again must accumulate evidence and
-  // keep the original decider rationale, not reset both.
-  RuntimeOptions o = uncalibrated(2);
-  o.decision_cache_path = path;
-  Runtime rt(o);
+  // A warm-started run must accumulate evidence and keep the original
+  // decider rationale, not reset both.
   for (int k = 0; k < 3; ++k) (void)rt.submit("site", in, out);
   ASSERT_TRUE(rt.site("site").warm_started());
   const DecisionCache resaved = rt.snapshot_decisions();
   EXPECT_EQ(resaved.find("site")->invocations, 8u);  // 5 inherited + 3
   EXPECT_EQ(resaved.find("site")->rationale, original_rationale);
   EXPECT_GT(resaved.find("site")->predicted_total_s, 0.0);
-  std::remove(path.c_str());
 }
 
 TEST(Runtime, WarmStartWithPoisonedCacheEscapesViaRecharacterization) {
@@ -575,23 +586,18 @@ TEST(Runtime, WarmStartWithPoisonedCacheEscapesViaRecharacterization) {
   // file) must not pin the site forever: sustained overruns against the
   // cached prediction re-characterize on fresh evidence.
   const auto in = sparse_input();
-  DecisionCache cache;
   CachedDecision d;
   d.site = "site";
   d.scheme = SchemeKind::kRep;  // pessimal for this sparse pattern
   d.threads = 2;
   d.signature = PatternSignature::of(in.pattern);
   d.predicted_total_s = 1e-12;  // everything overruns this
-  cache.put(d);
-  const std::string path =
-      ::testing::TempDir() + "core_runtime_cache_poison.json";
-  ASSERT_TRUE(cache.save(path));
 
   RuntimeOptions o = uncalibrated(2);
-  o.decision_cache_path = path;
   o.adaptive.mispredict_ratio = 2.0;
   o.adaptive.mispredict_patience = 2;
   Runtime rt(o);
+  rt.decision_store().put(d);  // offered to the site on its creation
   std::vector<double> out(in.pattern.dim, 0.0);
   (void)rt.submit("site", in, out);
   EXPECT_TRUE(rt.site("site").warm_started());
@@ -599,26 +605,20 @@ TEST(Runtime, WarmStartWithPoisonedCacheEscapesViaRecharacterization) {
   for (int k = 0; k < 6; ++k) (void)rt.submit("site", in, out);
   EXPECT_GE(rt.site("site").recharacterizations(), 1u);
   EXPECT_FALSE(rt.site("site").warm_started());
-  std::remove(path.c_str());
 }
 
 TEST(Runtime, ThreadCountMismatchInvalidatesCachedDecision) {
   const auto in = sparse_input();
-  const std::string path =
-      ::testing::TempDir() + "core_runtime_cache_threads.json";
+  const ScopedTempDir dir;
   std::vector<double> out(in.pattern.dim, 0.0);
   {
-    Runtime learner(uncalibrated(2));
+    Runtime learner(persisted(2, dir));
     (void)learner.submit("site", in, out);
-    ASSERT_TRUE(learner.save_decisions(path));
   }
-  RuntimeOptions o = uncalibrated(4);  // decision was learned under 2
-  o.decision_cache_path = path;
-  Runtime rt(o);
+  Runtime rt(persisted(4, dir));  // decision was learned under 2
   (void)rt.submit("site", in, out);
   EXPECT_FALSE(rt.site("site").warm_started());
   EXPECT_EQ(rt.site("site").recharacterizations(), 1u);
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <fstream>
 #include <optional>
 #include <string>
+#include <thread>
 #include <unistd.h>
 #include <vector>
 
@@ -197,6 +198,34 @@ TEST_F(DecisionStoreTest, AbandonedFlushLeavesOldCompleteFile) {
     EXPECT_EQ(recovered.get("App/b")->invocations, 2u);
     fs::remove_all(dir);
   }
+}
+
+TEST_F(DecisionStoreTest, ConcurrentDrainsNeverTearAShard) {
+  // The runtime's maintenance thread and an explicit
+  // Runtime::flush_decisions() may drain at the same time. Both writing
+  // one shard's temp file would fail a rename or tear the document.
+  ShardedDecisionStore store({.dir = dir_, .shards = 1});
+  (void)store.load();
+  constexpr int kRounds = 40;
+  const auto writer = [&](const std::string& site) {
+    for (int k = 1; k <= kRounds; ++k) {
+      store.put(decision(site, static_cast<std::uint64_t>(k)));
+      (void)store.drain();
+    }
+  };
+  std::thread a(writer, "App/a");
+  std::thread b(writer, "App/b");
+  a.join();
+  b.join();
+  (void)store.drain();
+  EXPECT_EQ(store.flush_failures(), 0u);
+  ShardedDecisionStore reloaded({.dir = dir_, .shards = 1});
+  std::string err;
+  EXPECT_EQ(reloaded.load(&err), 2u) << err;
+  EXPECT_EQ(reloaded.get("App/a")->invocations,
+            static_cast<std::uint64_t>(kRounds));
+  EXPECT_EQ(reloaded.get("App/b")->invocations,
+            static_cast<std::uint64_t>(kRounds));
 }
 
 TEST_F(DecisionStoreTest, MalformedShardIsAColdStartNotAnError) {

@@ -80,10 +80,12 @@ TEST(AdaptiveOnFig3Suite, NeverSelectsIllegalScheme) {
   }
 }
 
-// Repeated invocations through the runtime facade stay correct and stable.
+// Repeated invocations through the runtime stay correct and stable.
 TEST(RuntimeIntegration, MultiSiteRepeatedInvocations) {
-  SmartAppsRuntime rt(SmartAppsRuntime::Options{
-      .threads = 3, .calibrate = false, .adaptive = {}});
+  RuntimeOptions opt;
+  opt.threads = 3;
+  opt.calibrate = false;
+  Runtime rt(opt);
   const auto& rows = tiny_rows();
   const auto& a = rows[0].workload.input;   // Irreg
   const auto& b = rows[17].workload.input;  // Spice
@@ -96,15 +98,15 @@ TEST(RuntimeIntegration, MultiSiteRepeatedInvocations) {
   for (int k = 0; k < 5; ++k) {
     std::fill(out_a.begin(), out_a.end(), 0.0);
     std::fill(out_b.begin(), out_b.end(), 0.0);
-    rt.reducer("irreg").invoke(a, out_a);
-    rt.reducer("spice").invoke(b, out_b);
+    (void)rt.submit("irreg", a, out_a);
+    (void)rt.submit("spice", b, out_b);
     for (std::size_t e = 0; e < ref_a.size(); e += 101)
       ASSERT_NEAR(ref_a[e], out_a[e], 1e-6);
     for (std::size_t e = 0; e < ref_b.size(); e += 101)
       ASSERT_NEAR(ref_b[e], out_b[e], 1e-6);
   }
-  EXPECT_EQ(rt.reducer("irreg").invocations(), 5u);
-  EXPECT_EQ(rt.reducer("irreg").recharacterizations(), 1u);
+  EXPECT_EQ(rt.site("irreg").invocations(), 5u);
+  EXPECT_EQ(rt.site("irreg").recharacterizations(), 1u);
 }
 
 // Simulator x software cross-check: the PCLR machine and the software

@@ -6,10 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
 #include <limits>
 
 #include "core/runtime.hpp"
+#include "scoped_temp_dir.hpp"
 #include "workloads/workload.hpp"
 
 namespace sapp {
@@ -245,7 +245,6 @@ TEST(Runtime, StalePhaseHistoryWarmStartRecharacterizesWithinWindow) {
   // it against fresh measurements, and re-characterize within the first
   // monitored window instead of trusting the stale scheme forever.
   const auto in = big_sparse_input();
-  DecisionCache cache;
   CachedDecision d;
   d.site = "site";
   d.scheme = SchemeKind::kRep;  // pessimal here: tiny touched set, huge dim
@@ -253,17 +252,13 @@ TEST(Runtime, StalePhaseHistoryWarmStartRecharacterizesWithinWindow) {
   d.signature = PatternSignature::of(in.pattern);
   d.predicted_total_s = 0.0;  // keep the model-prediction path out of it
   d.phase_times_s = {2e-6, 2e-6, 3e-6, 2e-6};
-  cache.put(d);
-  const std::string path =
-      ::testing::TempDir() + "phase_drift_stale_history.json";
-  ASSERT_TRUE(cache.save(path));
 
   RuntimeOptions o;
   o.threads = 2;
   o.calibrate = false;
   o.adaptive.mispredict_patience = 1 << 30;  // isolate the history path
-  o.decision_cache_path = path;
   Runtime rt(o);
+  rt.decision_store().put(d);  // offered to the site on its creation
   const int window = o.adaptive.monitor.window();
   std::vector<double> out(in.pattern.dim, 0.0);
   (void)rt.submit("site", in, out);
@@ -279,36 +274,32 @@ TEST(Runtime, StalePhaseHistoryWarmStartRecharacterizesWithinWindow) {
   EXPECT_LE(recharacterized_at, window);
   EXPECT_GE(rt.site("site").time_drift_demotions(), 1u);
   EXPECT_FALSE(rt.site("site").warm_started());
-  std::remove(path.c_str());
 }
 
 TEST(Runtime, HonestWarmStartKeepsTheCachedScheme) {
   // The counterpart: history recorded on this host, for this input, must
-  // NOT be contradicted — the warm start sticks.
+  // NOT be contradicted — the warm start sticks. The learner's destructor
+  // drains to the shard directory; the second Runtime is the restart.
   const auto in = big_sparse_input();
-  const std::string path =
-      ::testing::TempDir() + "phase_drift_honest_history.json";
+  const ScopedTempDir dir;
   std::vector<double> out(in.pattern.dim, 0.0);
   RuntimeOptions o;
   o.threads = 2;
   o.calibrate = false;
   o.adaptive.mispredict_patience = 1 << 30;
+  o.decision_cache_dir = dir.path();
   {
     Runtime learner(o);
     for (int k = 0; k < 6; ++k) (void)learner.submit("site", in, out);
-    ASSERT_TRUE(learner.save_decisions(path));
     const DecisionCache snap = learner.snapshot_decisions();
     EXPECT_FALSE(snap.find("site")->phase_times_s.empty());
   }
-  RuntimeOptions w = o;
-  w.decision_cache_path = path;
-  Runtime rt(w);
+  Runtime rt(o);
   const int window = o.adaptive.monitor.window();
   for (int k = 0; k < window + 2; ++k) (void)rt.submit("site", in, out);
   EXPECT_TRUE(rt.site("site").warm_started());
   EXPECT_EQ(rt.site("site").recharacterizations(), 0u);
   EXPECT_EQ(rt.site("site").time_drift_demotions(), 0u);
-  std::remove(path.c_str());
 }
 
 TEST(AdaptiveReducer, FrozenDecisionsReplanButNeverRedecide) {

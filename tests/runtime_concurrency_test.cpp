@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "core/runtime.hpp"
+#include "scoped_temp_dir.hpp"
 #include "workloads/workload.hpp"
 
 namespace sapp {
@@ -239,11 +240,13 @@ TEST(RuntimeConcurrency, ReportAndSnapshotRaceSubmitters) {
 }
 
 TEST(RuntimeConcurrency, ConcurrentWarmStartsAdoptCachedDecisions) {
-  // A learner runtime persists its decisions; a second runtime warm-starts
-  // every site under concurrent first submissions.
+  // A learner runtime persists its decisions (its destructor drains them
+  // to the shard directory); a restarted runtime on the same directory
+  // warm-starts every site under concurrent first submissions.
   constexpr int kThreads = 6;
-  const std::string path =
-      ::testing::TempDir() + "runtime_concurrency_cache.json";
+  const ScopedTempDir dir;
+  RuntimeOptions o = quiet_options();
+  o.decision_cache_dir = dir.path();
 
   std::vector<ReductionInput> inputs;
   std::vector<std::vector<double>> refs;
@@ -254,17 +257,14 @@ TEST(RuntimeConcurrency, ConcurrentWarmStartsAdoptCachedDecisions) {
   }
 
   {
-    Runtime learner(quiet_options());
+    Runtime learner(o);
     std::vector<double> out;
     for (const auto& in : inputs) {
       out.assign(in.pattern.dim, 0.0);
       (void)learner.submit(in, out);
     }
-    ASSERT_TRUE(learner.save_decisions(path));
   }
 
-  RuntimeOptions o = quiet_options();
-  o.decision_cache_path = path;
   Runtime rt(o);
   EXPECT_EQ(rt.warm_entries(), static_cast<std::size_t>(kThreads));
 
@@ -287,7 +287,6 @@ TEST(RuntimeConcurrency, ConcurrentWarmStartsAdoptCachedDecisions) {
     EXPECT_TRUE(r.warm_started()) << in.pattern.loop_id;
     EXPECT_EQ(r.recharacterizations(), 0u) << in.pattern.loop_id;
   }
-  std::remove(path.c_str());
 }
 
 TEST(RuntimeConcurrency, SiteChurnStressStaysBoundedAndExactlyOnce) {

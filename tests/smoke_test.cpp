@@ -1,8 +1,8 @@
 // End-to-end smoke test: the README quickstart path must stay working.
 //
-// Constructs a SmartAppsRuntime, runs one reducer(...).invoke(...) round
-// trip on a synthetic irregular pattern, checks the result against the
-// sequential reference, and checks that report() has content.
+// Constructs a Runtime, runs one submit(...) round trip on a synthetic
+// irregular pattern, checks the result against the sequential reference,
+// and checks that report() has content.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -24,14 +24,14 @@ TEST(Smoke, RuntimeInvokeRoundTrip) {
   params.seed = 7;
   const ReductionInput input = workloads::make_synthetic(params);
 
-  SmartAppsRuntime::Options opt;
+  RuntimeOptions opt;
   opt.threads = 4;
   opt.calibrate = false;  // deterministic coefficients for CI
-  SmartAppsRuntime rt(opt);
+  Runtime rt(opt);
 
-  AdaptiveReducer& site = rt.reducer("smoke");
   std::vector<double> w(input.pattern.dim, 0.0);
-  const SchemeResult r = site.invoke(input, w);
+  const SchemeResult r = rt.submit("smoke", input, w);
+  const AdaptiveReducer& site = rt.site("smoke");
 
   EXPECT_GE(r.total_s(), 0.0);
   EXPECT_EQ(site.invocations(), 1u);
