@@ -8,14 +8,6 @@
 namespace sapp {
 
 namespace {
-/// The monitor's knobs live in AdaptiveOptions::monitor except the pattern
-/// threshold, which predates them as AdaptiveOptions::drift_threshold.
-PhaseMonitorOptions merged_monitor_options(const AdaptiveOptions& opt) {
-  PhaseMonitorOptions mo = opt.monitor;
-  mo.pattern_threshold = opt.drift_threshold;
-  return mo;
-}
-
 double median_of(std::vector<double> xs) {
   if (xs.empty()) return 0.0;
   const auto mid = xs.begin() + static_cast<std::ptrdiff_t>(xs.size() / 2);
@@ -29,7 +21,7 @@ AdaptiveReducer::AdaptiveReducer(ThreadPool& pool, MachineCoeffs coeffs,
     : pool_(pool),
       coeffs_(coeffs),
       opt_(opt),
-      monitor_(merged_monitor_options(opt)) {}
+      monitor_(opt.monitor) {}
 
 AdaptiveReducer::~AdaptiveReducer() = default;
 
@@ -61,9 +53,9 @@ void AdaptiveReducer::record_phase_time(double seconds) {
 }
 
 void AdaptiveReducer::characterize_and_decide(const AccessPattern& p) {
-  stats_ = characterize(p, pool_.size(), opt_.characterize);
+  stats_ = characterize(p, pool_.size());
   decision_ = opt_.use_rule_decider
-                  ? decide_rules(stats_, opt_.rules)
+                  ? decide_rules(stats_)
                   : decide_model(stats_, p.body_flops, coeffs_);
   // The rule decider can pick an inapplicable scheme only through a bug;
   // guard against selecting lw for an illegal loop either way.
@@ -131,7 +123,7 @@ SchemeResult AdaptiveReducer::invoke(const ReductionInput& in,
     const PatternSignature sig = PatternSignature::of(in.pattern);
     if (warm_.has_value() &&
         DecisionCache::matches(*warm_, sig, pool_.size(),
-                               opt_.warm_match_tolerance) &&
+                               DecisionCache::kWarmMatchTolerance) &&
         (warm_->scheme != SchemeKind::kLocalWrite ||
          in.pattern.iteration_replication_legal)) {
       adopt(warm_->scheme, in.pattern);
@@ -165,16 +157,6 @@ SchemeResult AdaptiveReducer::invoke(const ReductionInput& in,
       characterize_and_decide(in.pattern);
     }
     warm_.reset();
-  } else if (opt_.freeze_decisions) {
-    // Frozen ablation (phase_drift baseline): pattern drift only rebuilds
-    // the inspector plan for the frozen scheme — a plan is
-    // pattern-specific, so executing a stale one on a drifted input would
-    // be unsafe — and never revisits the decision itself.
-    const PatternSignature sig = PatternSignature::of(in.pattern);
-    if (monitor_.observe(sig)) {
-      adopt(scheme_->kind(), in.pattern);
-      monitor_.rebase(sig);
-    }
   } else if (monitor_.observe(PatternSignature::of(in.pattern))) {
     characterize_and_decide(in.pattern);
   }
@@ -188,15 +170,13 @@ SchemeResult AdaptiveReducer::invoke(const ReductionInput& in,
     // and recomputed serially in execute_current). Correctness evidence
     // outranks every timing signal: demote the decision and re-characterize
     // now, and keep the bogus measurement out of the phase history and the
-    // mispredict/time feedback. The frozen ablation still recovers the
-    // result but, by definition, never revisits its decision.
+    // mispredict/time feedback.
     last_check_failed_ = false;
-    if (!opt_.freeze_decisions) characterize_and_decide(in.pattern);
+    characterize_and_decide(in.pattern);
     return r;
   }
 
   record_phase_time(r.total_s());
-  if (opt_.freeze_decisions) return r;
 
   // Time-drift demotion: the EWMA of measured times has moved away from
   // the baseline this decision was adopted under (or from the persisted

@@ -37,24 +37,18 @@
 
 namespace sapp {
 
-/// Tunables of the adaptive loop.
+/// Tunables of the adaptive loop. Characterization and the rule decider
+/// run with their defaults (CharacterizeOptions, RuleThresholds); the
+/// warm-start match tolerance is DecisionCache::kWarmMatchTolerance.
 struct AdaptiveOptions {
-  CharacterizeOptions characterize{};
   /// Use the rule taxonomy instead of the cost model (ablation).
   bool use_rule_decider = false;
-  RuleThresholds rules{};
-  /// Accumulated pattern drift that triggers re-characterization.
-  double drift_threshold = 0.25;
   /// Measured/predicted overrun that counts as a misprediction.
   double mispredict_ratio = 2.0;
   /// Consecutive mispredictions before switching to the runner-up.
   int mispredict_patience = 3;
-  /// Relative signature drift a cached decision may show and still be
-  /// adopted on a warm start (see DecisionCache::matches).
-  double warm_match_tolerance = 0.1;
-  /// Time-drift detector knobs (EWMA smoothing, ratio, patience, noise
-  /// floor). `monitor.pattern_threshold` is overridden by
-  /// `drift_threshold` above.
+  /// Drift detector knobs: the pattern-drift threshold plus the
+  /// time-EWMA smoothing, ratio, patience and noise floor.
   PhaseMonitorOptions monitor{};
   /// In-flight probabilistic result checking (src/check, docs/checking.md):
   /// when enabled every invocation validates the scheme's combine against
@@ -68,12 +62,6 @@ struct AdaptiveOptions {
   /// warm-started combine so tests and `sapp_repro checking` can prove the
   /// detection bound empirically.
   FaultInjector* fault_injector = nullptr;
-  /// Freeze the first decision for the lifetime of the site: pattern drift
-  /// only rebuilds the inspector plan for the frozen scheme (a plan is
-  /// pattern-specific, so executing a stale one would be unsafe) and the
-  /// time/mispredict feedback is disabled. This is the pre-phase-aware
-  /// behaviour, kept as the `sapp_repro phase_drift` ablation baseline.
-  bool freeze_decisions = false;
 };
 
 /// Adaptive multi-version reduction executor for one loop site.
@@ -91,7 +79,7 @@ class AdaptiveReducer {
 
   /// Offer a cached decision for adoption on the first invocation. If the
   /// first observed pattern matches the cached signature (within
-  /// `AdaptiveOptions::warm_match_tolerance`) the reducer adopts the
+  /// `DecisionCache::kWarmMatchTolerance`) the reducer adopts the
   /// cached scheme directly and skips characterization and the cost-model
   /// decision; otherwise it falls back to the cold path. Must be called
   /// before the first invoke.

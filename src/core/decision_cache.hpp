@@ -65,6 +65,10 @@ class DecisionCache {
   /// median over, small enough that cache files stay diff-sized.
   /// `to_json` keeps the most recent entries when given more.
   static constexpr std::size_t kMaxPhaseHistory = 16;
+  /// Relative signature drift a cached decision may show and still be
+  /// adopted on a warm start (the `tolerance` the runtime passes to
+  /// `matches`).
+  static constexpr double kWarmMatchTolerance = 0.1;
 
   /// Insert or replace the entry for `d.site`.
   void put(CachedDecision d);

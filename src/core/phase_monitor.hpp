@@ -78,10 +78,6 @@ struct PhaseMonitorOptions {
 class PhaseMonitor {
  public:
   explicit PhaseMonitor(PhaseMonitorOptions opt = {}) : opt_(opt) {}
-  /// Pattern-threshold-only convenience (time detector keeps defaults).
-  explicit PhaseMonitor(double pattern_threshold)
-      : PhaseMonitor(PhaseMonitorOptions{.pattern_threshold =
-                                             pattern_threshold}) {}
 
   /// Rebase on a freshly characterized pattern; resets both detectors.
   void rebase(const PatternSignature& sig) {

@@ -26,19 +26,14 @@ Runtime::Runtime(RuntimeOptions opt) : opt_(std::move(opt)) {
     if (n == 0) n = 2;
   }
   pool_ = std::make_unique<ThreadPool>(n);
-  if (opt_.coeffs != nullptr)
-    coeffs_ = *opt_.coeffs;
-  else
-    coeffs_ = opt_.calibrate ? MachineCoeffs::calibrate(*pool_)
-                             : MachineCoeffs::defaults();
-  store_ = std::make_unique<ShardedDecisionStore>(DecisionStoreOptions{
-      .dir = opt_.decision_cache_dir, .shards = opt_.decision_cache_shards});
+  coeffs_ = opt_.coeffs ? *opt_.coeffs : MachineCoeffs::calibrate(*pool_);
+  store_ = std::make_unique<ShardedDecisionStore>(
+      DecisionStoreOptions{.dir = opt_.decision_cache_dir});
   if (store_->persistent()) {
     // Missing or torn shards are cold shards, never an error.
     (void)store_->load();
-  }
-  if (store_->persistent() || opt_.site_ttl_s > 0.0)
     maintenance_ = std::thread([this] { maintenance_loop(); });
+  }
 }
 
 Runtime::~Runtime() {
@@ -59,16 +54,14 @@ void Runtime::stop_maintenance() {
 }
 
 void Runtime::maintenance_loop() {
-  double interval_s = std::max(opt_.flush_interval_s, 1e-3);
-  if (opt_.site_ttl_s > 0.0)
-    interval_s = std::min(interval_s, std::max(opt_.site_ttl_s / 2, 1e-3));
-  const auto interval = std::chrono::duration<double>(interval_s);
+  const auto interval =
+      std::chrono::duration<double>(std::max(opt_.flush_interval_s, 1e-3));
   std::unique_lock lk(maint_mu_);
   while (!maint_stop_) {
     maint_cv_.wait_for(lk, interval);
     if (maint_stop_) break;
     lk.unlock();
-    if (opt_.site_ttl_s > 0.0 || opt_.max_sites > 0) (void)sweep();
+    if (opt_.max_sites > 0) (void)sweep();
     (void)flush_decisions();
     lk.lock();
   }
@@ -243,30 +236,19 @@ void Runtime::ensure_capacity() {
   // Evict the overflow plus a little slack (1/16th of the cap) so a
   // churning burst of creations amortizes the table scan instead of
   // rescanning per creation. Small caps get exact-overflow eviction.
-  (void)evict_locked(live - cap + 1 + cap / 16, /*ttl_cutoff_ns=*/0);
+  (void)evict_locked(live - cap + 1 + cap / 16);
 }
 
 std::size_t Runtime::sweep() {
   std::scoped_lock lk(evict_mu_);
-  std::uint64_t cutoff = 0;
-  if (opt_.site_ttl_s > 0.0) {
-    const auto ttl_ns =
-        static_cast<std::uint64_t>(opt_.site_ttl_s * 1e9);
-    const std::uint64_t now = now_ns();
-    cutoff = now > ttl_ns ? now - ttl_ns : 0;
-  }
   const std::size_t live = live_sites_.load(std::memory_order_relaxed);
-  const std::size_t over =
-      opt_.max_sites > 0 && live > opt_.max_sites ? live - opt_.max_sites : 0;
-  if (over == 0 && cutoff == 0) return 0;
-  return evict_locked(over, cutoff);
+  if (opt_.max_sites == 0 || live <= opt_.max_sites) return 0;
+  return evict_locked(live - opt_.max_sites);
 }
 
-std::size_t Runtime::evict_locked(std::size_t want,
-                                  std::uint64_t ttl_cutoff_ns) {
-  // One pass over the table: every TTL-expired site goes; beyond that,
-  // the `want` least-recently-used ones. Timestamps are read lock-free —
-  // approximate LRU is all a cap needs.
+std::size_t Runtime::evict_locked(std::size_t want) {
+  // One pass over the table: the `want` least-recently-used sites go.
+  // Timestamps are read lock-free — approximate LRU is all a cap needs.
   std::vector<std::pair<std::uint64_t, std::string>> by_age;
   std::size_t evicted = 0;
   for (const auto& stripe : stripes_) {
@@ -276,10 +258,9 @@ std::size_t Runtime::evict_locked(std::size_t want,
                           id);
   }
   std::sort(by_age.begin(), by_age.end());
-  for (const auto& [used_ns, id] : by_age) {
-    const bool expired = ttl_cutoff_ns > 0 && used_ns < ttl_cutoff_ns;
-    if (!expired && evicted >= want) break;
-    if (evict_site(id)) ++evicted;
+  for (const auto& entry : by_age) {
+    if (evicted >= want) break;
+    if (evict_site(entry.second)) ++evicted;
   }
   return evicted;
 }

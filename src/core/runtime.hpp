@@ -22,10 +22,10 @@
 // Serving-scale bounds (see docs/serving.md):
 //   * `max_sites` caps the live site table with approximate-LRU eviction
 //     (per-site last-used timestamps; a creation past the cap evicts the
-//     coldest sites first); `site_ttl_s` additionally expires idle sites.
-//     An evicted site's learned decision is snapshotted into the decision
-//     store, so a returning site re-registers and warm-starts instead of
-//     re-characterizing — eviction bounds memory, not knowledge.
+//     coldest sites first). An evicted site's learned decision is
+//     snapshotted into the decision store, so a returning site
+//     re-registers and warm-starts instead of re-characterizing — eviction
+//     bounds memory, not knowledge.
 //   * persistence is asynchronous: submissions only mark their site dirty
 //     in the sharded decision store (decision_store.hpp); a maintenance
 //     thread snapshots dirty sites and flushes changed shards atomically
@@ -44,6 +44,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -57,8 +58,12 @@ namespace sapp {
 
 /// Construction knobs of the multi-site runtime.
 struct RuntimeOptions {
-  unsigned threads = 0;   ///< 0 = hardware concurrency
-  bool calibrate = true;  ///< micro-calibrate MachineCoeffs at startup
+  unsigned threads = 0;  ///< 0 = hardware concurrency
+  /// Cost-model coefficients for every site's decider. Empty (the default)
+  /// micro-calibrates MachineCoeffs at startup; tests and experiments set
+  /// fixed coefficients for deterministic construction or identical
+  /// deciders across Runtime instances.
+  std::optional<MachineCoeffs> coeffs;
   AdaptiveOptions adaptive{};
   /// Directory of the sharded, asynchronously persisted decision store.
   /// When non-empty, the constructor loads every shard for warm starts
@@ -66,19 +71,12 @@ struct RuntimeOptions {
   /// flushes learned decisions back on `flush_interval_s`, and the
   /// destructor drains whatever is still dirty.
   std::string decision_cache_dir;
-  /// Shard-file count of the decision store (clamped to [1, 256]).
-  std::size_t decision_cache_shards = 16;
-  /// Maintenance-thread period: async flush of dirty decisions plus
-  /// TTL/capacity sweeps.
+  /// Maintenance-thread period: async flush of dirty decisions plus the
+  /// capacity sweep.
   double flush_interval_s = 0.05;
   /// Cap on live sites (0 = unbounded). A creation past the cap evicts
   /// the least-recently-used sites after persisting their decisions.
   std::size_t max_sites = 0;
-  /// Evict sites idle longer than this many seconds (0 = no TTL).
-  double site_ttl_s = 0.0;
-  /// Skip calibration and use these coefficients (tests, experiments
-  /// wanting identical deciders across Runtime instances).
-  const MachineCoeffs* coeffs = nullptr;
 };
 
 /// Process-wide registry of adaptive reduction sites sharing one pool.
@@ -123,7 +121,7 @@ class Runtime {
   [[nodiscard]] std::string report() const;
 
   // ---- eviction -----------------------------------------------------
-  /// Sites evicted so far (LRU capacity + TTL combined).
+  /// Sites evicted so far by the LRU capacity bound.
   [[nodiscard]] std::uint64_t evictions() const { return evictions_.load(); }
   /// Site creations that found a cached decision to offer (initial warm
   /// loads plus evicted sites re-registering; approximate under racing
@@ -131,8 +129,8 @@ class Runtime {
   [[nodiscard]] std::uint64_t warm_offers() const {
     return warm_offers_.load();
   }
-  /// Evict TTL-expired sites and trim over-capacity now (also runs on
-  /// every maintenance tick). Returns the number of sites evicted.
+  /// Trim the table down to `max_sites` now (also runs on every
+  /// maintenance tick). Returns the number of sites evicted.
   std::size_t sweep();
 
   // ---- in-flight checking (AdaptiveOptions::check) -------------------
@@ -168,7 +166,7 @@ class Runtime {
     /// submitter that raced the eviction re-resolves the site id.
     bool evicted = false;
     /// steady_clock nanos of the last submission — read lock-free by the
-    /// LRU/TTL sweeps.
+    /// LRU sweeps.
     std::atomic<std::uint64_t> last_used_ns{0};
     std::unique_ptr<AdaptiveReducer> reducer;
   };
@@ -190,10 +188,9 @@ class Runtime {
   /// mutex and guarantees at least one invocation).
   [[nodiscard]] CachedDecision snapshot_site(const std::string& id,
                                              const AdaptiveReducer& r) const;
-  /// Evict up to `want` least-recently-used live sites (plus every
-  /// TTL-expired one when `ttl_cutoff_ns` > 0), persisting their
+  /// Evict up to `want` least-recently-used live sites, persisting their
   /// decisions into the store. Caller holds evict_mu_.
-  std::size_t evict_locked(std::size_t want, std::uint64_t ttl_cutoff_ns);
+  std::size_t evict_locked(std::size_t want);
   /// Snapshot-and-erase one site; false when it is gone or mid-submit.
   bool evict_site(const std::string& id);
   /// Make room for one more site when `max_sites` is set.
@@ -218,7 +215,7 @@ class Runtime {
   std::atomic<std::uint64_t> warm_offers_{0};
   std::atomic<std::uint64_t> checks_run_{0};
   std::atomic<std::uint64_t> check_failures_{0};
-  /// Serializes evictors (capacity + TTL sweeps scan the whole table).
+  /// Serializes evictors (capacity sweeps scan the whole table).
   std::mutex evict_mu_;
   /// Warm-start + persistence engine (always constructed; file-backed
   /// only when decision_cache_dir is set).

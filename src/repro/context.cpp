@@ -57,4 +57,11 @@ const MachineCoeffs& RunContext::coeffs() {
   return *coeffs_;
 }
 
+RuntimeOptions RunContext::runtime_options() {
+  RuntimeOptions o;
+  o.threads = threads_;
+  o.coeffs = coeffs();
+  return o;
+}
+
 }  // namespace sapp::repro

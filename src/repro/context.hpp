@@ -19,9 +19,24 @@
 
 #include "common/stats.hpp"
 #include "common/thread_pool.hpp"
+#include "common/timer.hpp"
 #include "core/cost_model.hpp"
+#include "core/runtime.hpp"
 
 namespace sapp::repro {
+
+/// Seconds per call of `body`, repeated until ~2 ms of work accumulates —
+/// for microsecond-scale bodies a single call is below timer resolution.
+template <typename F>
+[[nodiscard]] double seconds_per_call(F&& body) {
+  Timer t;
+  std::size_t calls = 0;
+  do {
+    body();
+    ++calls;
+  } while (t.seconds() < 2e-3);
+  return t.seconds() / static_cast<double>(calls);
+}
 
 /// User-selected knobs (0 = "use the default for this experiment/host").
 struct RunOptions {
@@ -57,6 +72,10 @@ class RunContext {
   [[nodiscard]] ThreadPool& pool();
   /// Host-calibrated cost-model coefficients, measured on first use.
   [[nodiscard]] const MachineCoeffs& coeffs();
+  /// Base options of every Runtime an experiment builds: threads() workers
+  /// and coeffs(), so Runtime instances skip calibration and share one
+  /// decider. Experiments set only their own fields on top.
+  [[nodiscard]] RuntimeOptions runtime_options();
 
   /// Shared timing policy: run `fn` warmup() times untimed, then reps()
   /// times, and return the median of the values `fn` reports (seconds, or

@@ -263,9 +263,7 @@ TrialBatch restored_decision_trials(RunContext& ctx, double rate, int trials,
   std::vector<double> ref(in.pattern.dim, 0.0);
   run_sequential(in, ref);
 
-  RuntimeOptions ro;
-  ro.threads = ctx.threads();
-  ro.coeffs = &ctx.coeffs();
+  RuntimeOptions ro = ctx.runtime_options();
   ro.adaptive = quiet_adaptive(rate);
   ro.decision_cache_dir = dir;
   {

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "common/aligned.hpp"
-#include "common/timer.hpp"
 #include "reductions/kernels.hpp"
 #include "repro/registry.hpp"
 #include "workloads/paramsets.hpp"
@@ -24,18 +23,6 @@
 namespace sapp::repro {
 
 namespace {
-
-/// ns per element of `body(n)`, repeated until ~2 ms of work accumulates.
-template <typename F>
-double measure_ns(std::size_t n, F&& body) {
-  Timer t;
-  std::size_t reps = 0;
-  do {
-    body(n);
-    ++reps;
-  } while (t.seconds() < 2e-3);
-  return t.seconds() * 1e9 / static_cast<double>(reps * n);
-}
 
 ExperimentResult run_kernels(RunContext& ctx) {
   // The Fig. 3 dimensions are scale-independent (the paper sweeps them);
@@ -72,15 +59,18 @@ ExperimentResult run_kernels(RunContext& ctx) {
                    "usable backend refused by set_backend");
       const kernels::KernelOps& K = kernels::active();
 
+      const double to_ns_per_elem = 1e9 / static_cast<double>(n);
       const double fill_ns = ctx.measure([&] {
-        return measure_ns(n, [&](std::size_t m) { K.fill(acc.data(), m, 0.0); });
+        return seconds_per_call([&] { K.fill(acc.data(), n, 0.0); }) *
+               to_ns_per_elem;
       });
       // Merge timing re-folds src into acc in place; the accumulating
       // values do not affect the memory-bound timing.
       K.fill(acc.data(), n, 0.0);
       const double merge_ns = ctx.measure([&] {
-        return measure_ns(
-            n, [&](std::size_t m) { K.merge_sum(acc.data(), src.data(), m); });
+        return seconds_per_call(
+                   [&] { K.merge_sum(acc.data(), src.data(), n); }) *
+               to_ns_per_elem;
       });
       if (backends[bi] == kernels::Backend::kScalar) scalar_merge_ns = merge_ns;
 

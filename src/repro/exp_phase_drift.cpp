@@ -2,7 +2,8 @@
 //   phase_drift — one loop site whose input reshuffles its connectivity
 //                 mid-run (dense mesh → sparse scatter). The phase-aware
 //                 runtime demotes the stale decision and re-characterizes;
-//                 the frozen-decision baseline keeps executing the phase-1
+//                 the frozen-decision baseline (built here from the scheme
+//                 library, not the runtime) keeps executing the phase-1
 //                 scheme. The CI repro-smoke gate requires the re-adapting
 //                 runtime to beat the frozen one by >= 1.3x on the drifted
 //                 segment.
@@ -14,13 +15,17 @@
 // scheme, measures, and re-characterizes after at most
 // `PhaseMonitorOptions::time_drift_patience` invocations.
 #include <cmath>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "common/stats.hpp"
 #include "common/timer.hpp"
+#include "core/characterize.hpp"
+#include "core/decision.hpp"
 #include "core/runtime.hpp"
+#include "reductions/registry.hpp"
 #include "repro/registry.hpp"
 #include "workloads/workload.hpp"
 
@@ -52,12 +57,63 @@ DriftSetup build(RunContext& ctx) {
   return s;
 }
 
-RuntimeOptions runtime_options(RunContext& ctx, bool frozen) {
-  RuntimeOptions o;
-  o.threads = ctx.threads();
-  o.coeffs = &ctx.coeffs();  // identical deciders across Runtime instances
-  o.adaptive.freeze_decisions = frozen;
-  return o;
+/// One pass of a variant over both segments: `s.pre` dense invocations
+/// into `pre_out`, then `post` drifted ones into `post_out`.
+struct Segments {
+  std::string pre_scheme, post_scheme;
+  unsigned recharacterizations = 1;
+  double pre_s = 0.0;   ///< first decision + the pre-drift invocations
+  double post_s = 0.0;  ///< the drifted invocations, re-adaptation included
+};
+
+/// The phase-aware runtime on a fresh Runtime (constructed untimed).
+Segments run_adaptive(RunContext& ctx, const DriftSetup& s, int post,
+                      std::span<double> pre_out, std::span<double> post_out) {
+  const ReductionInput& dense = s.phases.dense.input;
+  const ReductionInput& sparse = s.phases.sparse.input;
+  Runtime rt(ctx.runtime_options());
+  Segments r;
+  Timer tp;
+  for (int k = 0; k < s.pre; ++k) (void)rt.submit(dense, pre_out);
+  r.pre_s = tp.seconds();
+  const AdaptiveReducer& site = rt.site(dense.pattern.loop_id);
+  r.pre_scheme = to_string(site.current());
+  Timer t;
+  for (int k = 0; k < post; ++k) (void)rt.submit(sparse, post_out);
+  r.post_s = t.seconds();
+  r.post_scheme = to_string(site.current());
+  r.recharacterizations = site.recharacterizations();
+  return r;
+}
+
+/// The frozen-decision baseline: decide once on the dense pattern exactly
+/// as the runtime's first invocation does (same characterization, same
+/// coefficients), then keep that scheme for the whole run. The drift only
+/// rebuilds its inspector plan — a plan is pattern-specific, so executing
+/// a stale one on the drifted input would be unsafe. Runs on a fresh pool
+/// (constructed untimed), as each Runtime constructs its own.
+Segments run_frozen(RunContext& ctx, const DriftSetup& s, int post,
+                    std::span<double> pre_out, std::span<double> post_out) {
+  const ReductionInput& dense = s.phases.dense.input;
+  const ReductionInput& sparse = s.phases.sparse.input;
+  ThreadPool pool(ctx.threads());
+  Segments r;
+  Timer tp;
+  const PatternStats stats = characterize(dense.pattern, pool.size());
+  const SchemeKind kind =
+      decide_model(stats, dense.pattern.body_flops, ctx.coeffs()).recommended;
+  const auto scheme = make_scheme(kind);
+  auto plan = scheme->plan(dense.pattern, pool.size());
+  for (int k = 0; k < s.pre; ++k)
+    (void)scheme->execute(plan.get(), dense, pool, pre_out);
+  r.pre_s = tp.seconds();
+  Timer t;
+  plan = scheme->plan(sparse.pattern, pool.size());
+  for (int k = 0; k < post; ++k)
+    (void)scheme->execute(plan.get(), sparse, pool, post_out);
+  r.post_s = t.seconds();
+  r.pre_scheme = r.post_scheme = to_string(kind);
+  return r;
 }
 
 ExperimentResult run_phase_drift(RunContext& ctx) {
@@ -70,41 +126,29 @@ ExperimentResult run_phase_drift(RunContext& ctx) {
   ExperimentResult res;
 
   // --- adapted-after-drift vs frozen decision -------------------------
-  // One instrumented pass per variant for the schemes/counters, then
-  // median-of-reps wall times per segment (fresh Runtime per rep; the
-  // adaptive post-drift segment deliberately includes the demotion and
-  // re-characterization cost).
+  // Median-of-reps wall times per segment, a fresh Runtime (or pool) per
+  // rep; schemes and counters come from the last rep. The adaptive
+  // post-drift segment deliberately includes the demotion and
+  // re-characterization cost.
   ResultTable seg("phase_drift_segments",
                   {"Variant", "Scheme pre", "Scheme post", "Pre ms",
                    "Drifted ms", "Recharacterizations"});
-  double post_ms[2] = {0.0, 0.0};
-  unsigned rechar[2] = {0, 0};
+  double post_ms[2] = {0.0, 0.0};  // [phase-aware, frozen]
+  unsigned adaptive_rechar = 0;
   for (const bool frozen : {false, true}) {
-    std::string pre_scheme, post_scheme;
-    {
-      Runtime rt(runtime_options(ctx, frozen));
-      for (int k = 0; k < s.pre; ++k) (void)rt.submit(dense, out);
-      pre_scheme = to_string(rt.site(site).current());
-      for (int k = 0; k < s.post; ++k) (void)rt.submit(sparse, out);
-      post_scheme = to_string(rt.site(site).current());
-      rechar[frozen ? 1 : 0] = rt.site(site).recharacterizations();
-    }
+    const auto run = frozen ? run_frozen : run_adaptive;
+    Segments last;
     std::vector<double> pre_samples;  // medianed like the drifted segment
-    const double post_s = ctx.measure([&] {
-      Runtime rt(runtime_options(ctx, frozen));
-      Timer tp;
-      for (int k = 0; k < s.pre; ++k) (void)rt.submit(dense, out);
-      pre_samples.push_back(tp.seconds());
-      Timer t;
-      for (int k = 0; k < s.post; ++k) (void)rt.submit(sparse, out);
-      return t.seconds();
+    post_ms[frozen ? 1 : 0] = 1e3 * ctx.measure([&] {
+      last = run(ctx, s, s.post, out, out);
+      pre_samples.push_back(last.pre_s);
+      return last.post_s;
     });
-    const double pre_s = median(pre_samples);
-    post_ms[frozen ? 1 : 0] = post_s * 1e3;
-    seg.add_row({frozen ? "frozen decision" : "phase-aware", pre_scheme,
-                 post_scheme, round_to(pre_s * 1e3, 2),
-                 round_to(post_s * 1e3, 2),
-                 static_cast<double>(rechar[frozen ? 1 : 0])});
+    if (!frozen) adaptive_rechar = last.recharacterizations;
+    seg.add_row({frozen ? "frozen decision" : "phase-aware", last.pre_scheme,
+                 last.post_scheme, round_to(median(pre_samples) * 1e3, 2),
+                 round_to(post_ms[frozen ? 1 : 0], 2),
+                 static_cast<double>(last.recharacterizations)});
   }
   res.tables.push_back(std::move(seg));
 
@@ -115,11 +159,9 @@ ExperimentResult run_phase_drift(RunContext& ctx) {
   {
     std::vector<double> ref(sparse.pattern.dim, 0.0);
     run_sequential(sparse, ref);
-    for (const bool frozen : {false, true}) {
-      Runtime rt(runtime_options(ctx, frozen));
-      for (int k = 0; k < s.pre; ++k) (void)rt.submit(dense, out);
+    for (const auto run : {run_adaptive, run_frozen}) {
       std::vector<double> got(sparse.pattern.dim, 0.0);
-      (void)rt.submit(sparse, got);
+      (void)run(ctx, s, 1, out, got);
       for (std::size_t e = 0; e < ref.size(); ++e) {
         const double tol = 1e-9 + 1e-9 * std::abs(ref[e]);
         if (std::abs(got[e] - ref[e]) > tol * 1e3) {
@@ -138,7 +180,7 @@ ExperimentResult run_phase_drift(RunContext& ctx) {
   // before its first submission — no file involved.
   CachedDecision doctored;
   {
-    Runtime learner(runtime_options(ctx, false));
+    Runtime learner(ctx.runtime_options());
     for (int k = 0; k < 8; ++k) (void)learner.submit(dense, out);
     DecisionCache snap = learner.snapshot_decisions();
     const CachedDecision* learned = snap.find(site);
@@ -152,7 +194,7 @@ ExperimentResult run_phase_drift(RunContext& ctx) {
   bool adopted = false;
   int window = 0;
   {
-    const RuntimeOptions o = runtime_options(ctx, false);
+    const RuntimeOptions o = ctx.runtime_options();
     Runtime rt(o);
     rt.decision_store().put(std::move(doctored));
     window = o.adaptive.monitor.time_drift_patience;
@@ -171,8 +213,7 @@ ExperimentResult run_phase_drift(RunContext& ctx) {
   res.metric("pre_invocations", s.pre);
   res.metric("post_invocations", s.post);
   res.metric("drift_adapt_speedup", round_to(speedup, 2));
-  res.metric("adaptive_recharacterizations", rechar[0]);
-  res.metric("frozen_recharacterizations", rechar[1]);
+  res.metric("adaptive_recharacterizations", adaptive_rechar);
   res.metric("sanity_mismatches", static_cast<double>(mismatches));
   res.metric("stale_warm_adopted", adopted ? 1 : 0);
   res.metric("stale_warm_recharacterize_invocation", recheck_invocation);

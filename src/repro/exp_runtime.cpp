@@ -69,13 +69,6 @@ std::vector<ReductionInput> build_sites(double scale) {
   return sites;
 }
 
-RuntimeOptions runtime_options(RunContext& ctx) {
-  RuntimeOptions o;
-  o.threads = ctx.threads();
-  o.coeffs = &ctx.coeffs();  // identical deciders across Runtime instances
-  return o;
-}
-
 /// Submit every site once, back to back, and return the wall seconds —
 /// the aggregate first-invocation cost the application pays at startup.
 double first_pass_seconds(Runtime& rt,
@@ -110,7 +103,7 @@ ExperimentResult run_adaptive_sites(RunContext& ctx) {
   for (const bool contended : {false, true}) {
     for (const unsigned T : {1u, 2u, 4u}) {
       if (contended && T == 1) continue;  // identical to the T=1 row
-      Runtime rt(runtime_options(ctx));
+      Runtime rt(ctx.runtime_options());
       // Untimed warm-up invocation per site: first invocations
       // characterize, the steady state is what scales.
       for (std::size_t s = 0; s < S; ++s)
@@ -156,7 +149,7 @@ ExperimentResult run_adaptive_sites(RunContext& ctx) {
           .string();
   std::filesystem::remove_all(cache_dir);
   const auto warm_options = [&] {
-    RuntimeOptions o = runtime_options(ctx);
+    RuntimeOptions o = ctx.runtime_options();
     o.decision_cache_dir = cache_dir;
     return o;
   };
@@ -175,7 +168,7 @@ ExperimentResult run_adaptive_sites(RunContext& ctx) {
                        {"Site", "Scheme", "Cold first ms", "Warm first ms",
                         "Speedup", "Warm-started"});
   {
-    Runtime cold(runtime_options(ctx));
+    Runtime cold(ctx.runtime_options());
     Runtime warm(warm_options());
     if (warm.warm_entries() < S)
       throw std::runtime_error("learned decisions did not persist to " +
@@ -200,7 +193,7 @@ ExperimentResult run_adaptive_sites(RunContext& ctx) {
   // Median-of-reps aggregate: a fresh Runtime per repetition, timing only
   // the submissions (construction excluded for both variants).
   const double cold_s = ctx.measure([&] {
-    Runtime rt(runtime_options(ctx));
+    Runtime rt(ctx.runtime_options());
     return first_pass_seconds(rt, sites, outs);
   });
   const double warm_s = ctx.measure([&] {

@@ -87,9 +87,7 @@ ServingConfig make_config(RunContext& ctx, double scale) {
 
 RuntimeOptions runtime_options(RunContext& ctx, const ServingConfig& c,
                                const std::string& cache_dir) {
-  RuntimeOptions o;
-  o.threads = ctx.threads();
-  o.coeffs = &ctx.coeffs();
+  RuntimeOptions o = ctx.runtime_options();
   o.adaptive.mispredict_patience = 1 << 30;       // see file comment
   o.adaptive.monitor.time_drift_patience = 1 << 30;
   o.max_sites = c.cap;

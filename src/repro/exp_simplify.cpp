@@ -24,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "common/timer.hpp"
 #include "core/runtime.hpp"
 #include "frontend/simplify.hpp"
 #include "repro/registry.hpp"
@@ -35,26 +34,6 @@ namespace sapp::repro {
 namespace {
 
 using frontend::Statement;
-
-RuntimeOptions runtime_options(RunContext& ctx) {
-  RuntimeOptions o;
-  o.threads = ctx.threads();
-  o.coeffs = &ctx.coeffs();  // skip per-Runtime calibration
-  return o;
-}
-
-/// Seconds per call of `body`, repeated until ~2 ms of work accumulates
-/// (the rewritten forms run in microseconds at the ladder sizes).
-template <typename F>
-double seconds_per_call(F&& body) {
-  Timer t;
-  std::size_t reps = 0;
-  do {
-    body();
-    ++reps;
-  } while (t.seconds() < 2e-3);
-  return t.seconds() / static_cast<double>(reps);
-}
 
 /// |a-b| <= tol * max(1, |a|, |b|) everywhere. The + rewrites reassociate,
 /// so sums are compared to a tolerance; min/max are compared bitwise.
@@ -164,7 +143,7 @@ ExperimentResult run_simplify(RunContext& ctx) {
       ladder.push_back({"sliding", scaled(n), 64});
   }
 
-  Runtime rt(runtime_options(ctx));
+  Runtime rt(ctx.runtime_options());
 
   ExperimentResult res;
   ResultTable t("simplify_speedup",
@@ -199,7 +178,7 @@ ExperimentResult run_simplify(RunContext& ctx) {
   std::size_t diff_cases = 0, diff_mismatches = 0;
   std::size_t fallback_cases = 0, fallback_mismatches = 0;
 
-  Runtime diff_rt(runtime_options(ctx));
+  Runtime diff_rt(ctx.runtime_options());
   for (int shape = 0; shape < 2; ++shape)
     for (const Statement::Op op : ops)
       for (std::size_t si = 0; si < std::size(sizes); ++si)

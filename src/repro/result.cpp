@@ -125,38 +125,6 @@ std::string render_markdown(const RunMeta& meta, const HostInfo& host,
   return os.str();
 }
 
-std::string render_csv(const RunMeta& meta, const ExperimentResult& r) {
-  auto csv_escape = [](const std::string& s) {
-    if (s.find_first_of(",\"\n") == std::string::npos) return s;
-    std::string out = "\"";
-    for (const char c : s) {
-      if (c == '"') out += "\"\"";
-      else out += c;
-    }
-    out += '"';
-    return out;
-  };
-  std::ostringstream os;
-  os << "# experiment: " << meta.experiment << "\n";
-  for (const auto& t : r.tables) {
-    os << "# table: " << t.name << "\n";
-    for (std::size_t i = 0; i < t.columns.size(); ++i)
-      os << (i ? "," : "") << csv_escape(t.columns[i]);
-    os << "\n";
-    for (const auto& row : t.rows) {
-      for (std::size_t i = 0; i < row.size(); ++i)
-        os << (i ? "," : "") << csv_escape(format_cell(row[i]));
-      os << "\n";
-    }
-  }
-  if (!r.metrics.empty()) {
-    os << "# table: metrics\nmetric,value\n";
-    for (const auto& [k, v] : r.metrics)
-      os << csv_escape(k) << "," << format_json_number(v) << "\n";
-  }
-  return os.str();
-}
-
 JsonValue result_to_json(const RunMeta& meta, const HostInfo& host,
                          const ExperimentResult& r) {
   JsonValue doc = JsonValue::object();

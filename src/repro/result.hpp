@@ -98,14 +98,11 @@ struct EnvironmentInfo {
   return std::round(v * p) / p;
 }
 
-/// Renderers. Markdown yields a standalone GitHub-flavoured document; CSV
-/// yields one header+rows block per table separated by comment lines; JSON
+/// Renderers. Markdown yields a standalone GitHub-flavoured document; JSON
 /// yields the schema documented in docs/reproducing.md.
 [[nodiscard]] std::string render_markdown(const RunMeta& meta,
                                           const HostInfo& host,
                                           const ExperimentResult& r);
-[[nodiscard]] std::string render_csv(const RunMeta& meta,
-                                     const ExperimentResult& r);
 [[nodiscard]] JsonValue result_to_json(const RunMeta& meta,
                                        const HostInfo& host,
                                        const ExperimentResult& r);

@@ -98,7 +98,7 @@ Reproduce the paper's experiments (figures, tables, ablations).
                      decision and the host topology, then exit
   --all              run every registered experiment
   --tiny             smoke sizes: ~1/10 scale (capped at 0.05), 1 rep
-  --format LIST      comma-separated subset of {table,csv,json}
+  --format LIST      comma-separated subset of {table,json}
                      (default: table; 'table' writes GitHub markdown)
   --out DIR          output directory
                      (default: docs/results/<os>-<arch>[-tiny])
@@ -142,8 +142,8 @@ std::string parse_cli(int argc, const char* const* argv, CliOptions& opts) {
         format_given = true;
         if (opts.formats.empty()) return "--format needs at least one value";
         for (const auto& f : opts.formats)
-          if (f != "table" && f != "csv" && f != "json")
-            return "unknown format '" + f + "' (expected table, csv or json)";
+          if (f != "table" && f != "json")
+            return "unknown format '" + f + "' (expected table or json)";
       } else if (arg == "--out") {
         opts.out_dir = value("--out");
       } else if (arg == "--scale") {
@@ -308,9 +308,7 @@ int run_cli(const CliOptions& opts, const ExperimentRegistry& registry,
 
     if (!opts.no_write) {
       for (const auto& format : opts.formats) {
-        const char* ext = format == "table" ? "md"
-                          : format == "csv" ? "csv"
-                                            : "json";
+        const char* ext = format == "table" ? "md" : "json";
         const fs::path path = out_dir / (e->name + "." + ext);
         std::ofstream file(path);
         if (!file) {
@@ -319,7 +317,6 @@ int run_cli(const CliOptions& opts, const ExperimentRegistry& registry,
           continue;
         }
         if (format == "table") file << render_markdown(meta, host, result);
-        else if (format == "csv") file << render_csv(meta, result);
         else file << doc.dump();
         written.push_back({e->name, path});
       }

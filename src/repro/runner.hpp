@@ -19,7 +19,7 @@ struct CliOptions {
   bool check = false;     ///< re-parse + schema-validate every JSON written
   bool no_write = false;  ///< print to stdout only
   bool quiet = false;     ///< suppress the stdout table rendering
-  std::vector<std::string> formats = {"table"};  // table|csv|json
+  std::vector<std::string> formats = {"table"};  // table|json
   std::string out_dir;    ///< empty = docs/results/<host-tag>[-tiny]
   std::vector<std::string> experiments;
   RunOptions run;

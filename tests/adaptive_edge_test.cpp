@@ -162,7 +162,7 @@ TEST(CharacterizeEdge, HugeThreadCountClampsInsteadOfAborting) {
 }
 
 TEST(PhaseMonitorEdge, ZeroRefBaseIsWellDefined) {
-  PhaseMonitor mon(0.25);
+  PhaseMonitor mon;
   const auto base = PatternSignature::of(zero_ref_pattern(64, 50));
   EXPECT_EQ(base.refs, 0u);
   mon.rebase(base);
@@ -190,7 +190,10 @@ TEST(PhaseMonitorEdge, ZeroIterationSignature) {
 }
 
 TEST(RuntimeEdge, SubmitDegenerateSites) {
-  Runtime rt(RuntimeOptions{.threads = 2, .calibrate = false});
+  RuntimeOptions o;
+  o.threads = 2;
+  o.coeffs = MachineCoeffs::defaults();
+  Runtime rt(o);
   auto empty = input_for(zero_iteration_pattern());
   empty.pattern.loop_id = "edge/empty";
   auto dense = input_for(single_element_pattern());

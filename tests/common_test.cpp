@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "common/aligned.hpp"
-#include "common/barrier.hpp"
 #include "common/csr.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -172,30 +171,6 @@ TEST(StaticBlock, RemainderGoesToLeadingThreads) {
   EXPECT_EQ(static_block(10, 1, 4).size(), 3u);
   EXPECT_EQ(static_block(10, 2, 4).size(), 2u);
   EXPECT_EQ(static_block(10, 3, 4).size(), 2u);
-}
-
-// ---------------- SpinBarrier ----------------
-
-TEST(SpinBarrier, SynchronizesPhases) {
-  constexpr unsigned kThreads = 4;
-  SpinBarrier bar(kThreads);
-  std::atomic<int> phase_counter{0};
-  std::vector<int> seen(kThreads, -1);
-  std::vector<std::thread> ts;
-  for (unsigned t = 0; t < kThreads; ++t) {
-    ts.emplace_back([&, t] {
-      for (int ph = 0; ph < 5; ++ph) {
-        phase_counter.fetch_add(1);
-        bar.arrive_and_wait();
-        // After the barrier, all increments of this phase are visible.
-        EXPECT_GE(phase_counter.load(), (ph + 1) * static_cast<int>(kThreads));
-        bar.arrive_and_wait();
-      }
-      seen[t] = 1;
-    });
-  }
-  for (auto& th : ts) th.join();
-  for (int s : seen) EXPECT_EQ(s, 1);
 }
 
 // ---------------- ThreadPool ----------------

@@ -210,7 +210,7 @@ TEST(DecideModel, PicksArgminAndExplains) {
 
 TEST(PhaseMonitor, StablePatternNeverTriggers) {
   const auto p = tiny_pattern();
-  PhaseMonitor mon(0.25);
+  PhaseMonitor mon;
   const auto sig = PatternSignature::of(p);
   mon.rebase(sig);
   for (int i = 0; i < 100; ++i) EXPECT_FALSE(mon.observe(sig));
@@ -218,7 +218,7 @@ TEST(PhaseMonitor, StablePatternNeverTriggers) {
 
 TEST(PhaseMonitor, DimensionChangeTriggersImmediately) {
   auto p = tiny_pattern();
-  PhaseMonitor mon(0.25);
+  PhaseMonitor mon;
   mon.rebase(PatternSignature::of(p));
   EXPECT_FALSE(mon.observe(PatternSignature::of(p)));
   AccessPattern q = tiny_pattern();
@@ -227,7 +227,7 @@ TEST(PhaseMonitor, DimensionChangeTriggersImmediately) {
 }
 
 TEST(PhaseMonitor, GradualDriftAccumulates) {
-  PhaseMonitor mon(0.25);
+  PhaseMonitor mon;
   workloads::SynthParams sp;
   sp.dim = 1000;
   sp.distinct = 500;
@@ -287,7 +287,7 @@ TEST(AdaptiveReducer, CharacterizesOnceForStablePattern) {
 TEST(AdaptiveReducer, DriftTriggersRecharacterization) {
   ThreadPool pool(2);
   AdaptiveReducer red(pool, MachineCoeffs::defaults(),
-                      AdaptiveOptions{.drift_threshold = 0.2});
+                      AdaptiveOptions{.monitor = {.pattern_threshold = 0.2}});
   workloads::SynthParams p;
   p.dim = 50000;
   p.distinct = 400;
@@ -343,7 +343,7 @@ TEST(AdaptiveReducer, MispredictionSwitchesScheme) {
 RuntimeOptions uncalibrated(unsigned threads) {
   RuntimeOptions o;
   o.threads = threads;
-  o.calibrate = false;
+  o.coeffs = MachineCoeffs::defaults();
   // Park the mispredict feedback loop: with uncalibrated coefficients a
   // loaded CI host overruns every prediction, and these tests pin the
   // site/cache bookkeeping, not adaptation (the poisoned-cache test
@@ -382,7 +382,7 @@ TEST(Runtime, UntaggedPatternsGetDimensionKeyedAnonymousSites) {
 
 TEST(Runtime, CalibrationProducesPositiveCoefficients) {
   RuntimeOptions o;
-  o.threads = 2;  // calibrate = true is the default under test
+  o.threads = 2;  // empty coeffs (calibrate) is the default under test
   Runtime rt(o);
   const MachineCoeffs& mc = rt.coeffs();
   EXPECT_GT(mc.ns_update, 0.0);

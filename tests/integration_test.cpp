@@ -84,7 +84,7 @@ TEST(AdaptiveOnFig3Suite, NeverSelectsIllegalScheme) {
 TEST(RuntimeIntegration, MultiSiteRepeatedInvocations) {
   RuntimeOptions opt;
   opt.threads = 3;
-  opt.calibrate = false;
+  opt.coeffs = MachineCoeffs::defaults();
   Runtime rt(opt);
   const auto& rows = tiny_rows();
   const auto& a = rows[0].workload.input;   // Irreg

@@ -2,7 +2,7 @@
 // detector, decision-cache round-tripping of the persisted phase history
 // (including rejection of malformed/legacy files), and the AdaptiveReducer
 // integration — stale-history warm starts demote within the first
-// monitored window, frozen decisions re-plan but never re-decide.
+// monitored window.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -255,7 +255,7 @@ TEST(Runtime, StalePhaseHistoryWarmStartRecharacterizesWithinWindow) {
 
   RuntimeOptions o;
   o.threads = 2;
-  o.calibrate = false;
+  o.coeffs = MachineCoeffs::defaults();
   o.adaptive.mispredict_patience = 1 << 30;  // isolate the history path
   Runtime rt(o);
   rt.decision_store().put(d);  // offered to the site on its creation
@@ -285,7 +285,7 @@ TEST(Runtime, HonestWarmStartKeepsTheCachedScheme) {
   std::vector<double> out(in.pattern.dim, 0.0);
   RuntimeOptions o;
   o.threads = 2;
-  o.calibrate = false;
+  o.coeffs = MachineCoeffs::defaults();
   o.adaptive.mispredict_patience = 1 << 30;
   o.decision_cache_dir = dir.path();
   {
@@ -302,50 +302,11 @@ TEST(Runtime, HonestWarmStartKeepsTheCachedScheme) {
   EXPECT_EQ(rt.site("site").time_drift_demotions(), 0u);
 }
 
-TEST(AdaptiveReducer, FrozenDecisionsReplanButNeverRedecide) {
-  ThreadPool pool(2);
-  AdaptiveOptions opt;
-  opt.freeze_decisions = true;
-  AdaptiveReducer red(pool, MachineCoeffs::defaults(), opt);
-
-  workloads::SynthParams p;
-  p.dim = 50000;
-  p.distinct = 25000;
-  p.iterations = 4000;
-  p.refs_per_iter = 2;
-  p.seed = 5;
-  const auto a = workloads::make_synthetic(p);
-  std::vector<double> out(a.pattern.dim, 0.0);
-  red.invoke(a, out);
-  EXPECT_EQ(red.recharacterizations(), 1u);
-  const SchemeKind frozen = red.current();
-
-  // Structural drift on the same array: the frozen reducer must keep the
-  // scheme (no re-decision) but rebuild its inspector plan — proven by a
-  // correct result on the drifted input.
-  p.distinct = 300;
-  p.iterations = 500;
-  p.seed = 6;
-  const auto b = workloads::make_synthetic(p);
-  for (int k = 0; k < 4; ++k) {
-    std::fill(out.begin(), out.end(), 0.0);
-    red.invoke(b, out);
-  }
-  EXPECT_EQ(red.recharacterizations(), 1u);
-  EXPECT_EQ(red.scheme_switches(), 0u);
-  EXPECT_EQ(red.time_drift_demotions(), 0u);
-  EXPECT_EQ(red.current(), frozen);
-  std::vector<double> ref(b.pattern.dim, 0.0);
-  run_sequential(b, ref);
-  for (std::size_t e = 0; e < ref.size(); e += 101)
-    ASSERT_NEAR(ref[e], out[e], 1e-8 + 1e-8 * std::abs(ref[e]));
-}
-
 TEST(Runtime, SnapshotPersistsTheReducersPhaseHistory) {
   const auto in = big_sparse_input();
   RuntimeOptions o;
   o.threads = 2;
-  o.calibrate = false;
+  o.coeffs = MachineCoeffs::defaults();
   o.adaptive.mispredict_patience = 1 << 30;
   o.adaptive.monitor.time_drift_patience = 1 << 30;
   Runtime rt(o);

@@ -37,7 +37,8 @@ unsigned pool_threads() {
 RuntimeOptions quiet_options() {
   RuntimeOptions o;
   o.threads = pool_threads();
-  o.calibrate = false;  // deterministic, fast construction under TSan
+  // Deterministic, fast construction under TSan.
+  o.coeffs = MachineCoeffs::defaults();
   // These tests pin concurrency semantics (exactly-once, site creation),
   // not adaptation. Under TSan/ASan every measurement overruns the
   // uncalibrated predictions, which would trigger scheme switches and

@@ -1,8 +1,8 @@
-// LRU/TTL eviction contract of the bounded runtime site table.
+// LRU eviction contract of the bounded runtime site table.
 //
 // `max_sites` caps the live table: a creation past the cap evicts the
-// least-recently-used sites (their decisions persisted into the store);
-// `site_ttl_s` expires idle sites on sweep(). The end-to-end property —
+// least-recently-used sites (their decisions persisted into the store),
+// and sweep() trims a table that is over the cap. The end-to-end property —
 // the reason eviction is safe at all — is that an evicted site which
 // returns warm-starts from its persisted decision: correct results, no
 // re-characterization, knowledge bounded only by the store, not the
@@ -11,10 +11,8 @@
 
 #include <unistd.h>
 
-#include <chrono>
 #include <filesystem>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/runtime.hpp"
@@ -26,7 +24,7 @@ namespace {
 RuntimeOptions quiet_options() {
   RuntimeOptions o;
   o.threads = 2;
-  o.calibrate = false;
+  o.coeffs = MachineCoeffs::defaults();
   // Pin eviction semantics, not adaptation: park the feedback loop so
   // uncalibrated predictions cannot trigger switches mid-test.
   o.adaptive.mispredict_patience = 1 << 30;
@@ -72,37 +70,6 @@ TEST(RuntimeEviction, LeastRecentlyUsedSiteGoesFirst) {
   EXPECT_TRUE(rt.has_live_site("evict/site3"));
   // The victim's decision moved into the store, not into the void.
   EXPECT_TRUE(rt.persisted_decisions().find("evict/site1") != nullptr);
-}
-
-TEST(RuntimeEviction, TtlExpiresIdleSitesButNotActiveOnes) {
-  // A TTL starts the maintenance thread (ticking at ttl/2), so expiry
-  // needs no explicit sweep() — an idle site disappears on its own while
-  // a site that keeps submitting never does.
-  RuntimeOptions o = quiet_options();
-  o.site_ttl_s = 0.05;
-  Runtime rt(o);
-  auto a = site_input(0);
-  auto b = site_input(1);
-  std::vector<double> out_a(a.pattern.dim, 0.0);
-  std::vector<double> out_b(b.pattern.dim, 0.0);
-  (void)rt.submit(a, out_a);
-  (void)rt.submit(b, out_b);
-  EXPECT_EQ(rt.site_count(), 2u);
-  EXPECT_EQ(rt.sweep(), 0u) << "fresh sites are inside the TTL";
-
-  // Site a goes idle past the TTL; site b stays hot (touched every 10ms,
-  // well inside the 50ms TTL).
-  for (int k = 0; k < 10; ++k) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    std::fill(out_b.begin(), out_b.end(), 0.0);
-    (void)rt.submit(b, out_b);
-  }
-  (void)rt.sweep();  // deterministic even if the maintenance tick just ran
-  EXPECT_FALSE(rt.has_live_site("evict/site0"));
-  EXPECT_TRUE(rt.has_live_site("evict/site1"));
-  EXPECT_EQ(rt.evictions(), 1u);
-  // Expiry persisted the idle site's decision for a later warm return.
-  EXPECT_TRUE(rt.persisted_decisions().find("evict/site0") != nullptr);
 }
 
 TEST(RuntimeEviction, EvictedSiteReturnsWarmWithCorrectResults) {
@@ -242,7 +209,7 @@ TEST(RuntimeEviction, RestartReloadsShardedStoreAndWarmStarts) {
   fs::remove_all(dir);
 }
 
-TEST(RuntimeEviction, SweepIsANoOpWithoutCapOrTtl) {
+TEST(RuntimeEviction, SweepIsANoOpWithoutCap) {
   Runtime rt(quiet_options());
   auto a = site_input(0);
   std::vector<double> out(a.pattern.dim, 0.0);

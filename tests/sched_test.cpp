@@ -5,16 +5,9 @@
 
 #include "common/rng.hpp"
 #include "sched/feedback_sched.hpp"
-#include "sched/schedule.hpp"
 
 namespace sapp {
 namespace {
-
-TEST(Schedule, Names) {
-  EXPECT_EQ(to_string(Schedule::kStaticBlock), "static");
-  EXPECT_EQ(to_string(Schedule::kFeedback), "feedback");
-  EXPECT_EQ(cyclic_chunks(100, 17), 6u);
-}
 
 TEST(FeedbackGuided, InitialPartitionIsBlockSchedule) {
   FeedbackGuided fg(100, 4);

@@ -25,7 +25,7 @@ Runtime& test_runtime() {
   static Runtime rt([] {
     RuntimeOptions o;
     o.threads = 2;
-    o.calibrate = false;
+    o.coeffs = MachineCoeffs::defaults();
     return o;
   }());
   return rt;

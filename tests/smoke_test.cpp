@@ -26,7 +26,8 @@ TEST(Smoke, RuntimeInvokeRoundTrip) {
 
   RuntimeOptions opt;
   opt.threads = 4;
-  opt.calibrate = false;  // deterministic coefficients for CI
+  // Deterministic coefficients for CI.
+  opt.coeffs = MachineCoeffs::defaults();
   Runtime rt(opt);
 
   std::vector<double> w(input.pattern.dim, 0.0);
