@@ -86,22 +86,21 @@ std::uint64_t pattern_fingerprint(const ReductionInput& in) {
 
 }  // namespace
 
-bool ReductionChecker::slot_sampled(std::uint64_t seed, double rate,
-                                    std::uint64_t element) {
+bool ReductionChecker::slot_sampled(double rate, std::uint64_t element) {
   if (rate >= 1.0) return true;
   if (rate <= 0.0) return false;
-  return element_hash(seed, element >> kBlockShift) < sample_threshold(rate);
+  return element_hash(kSampleSeed, element >> kBlockShift) <
+         sample_threshold(rate);
 }
 
-std::size_t ReductionChecker::count_sampled(std::uint64_t seed, double rate,
-                                            std::size_t dim) {
+std::size_t ReductionChecker::count_sampled(double rate, std::size_t dim) {
   if (rate >= 1.0) return dim;
   if (rate <= 0.0) return 0;
   const std::uint64_t threshold = sample_threshold(rate);
   const std::size_t nblocks = (dim + kBlock - 1) >> kBlockShift;
   std::size_t n = 0;
   for (std::size_t b = 0; b < nblocks; ++b)
-    if (element_hash(seed, b) < threshold)
+    if (element_hash(kSampleSeed, b) < threshold)
       n += std::min(kBlock, dim - (b << kBlockShift));
   return n;
 }
@@ -234,7 +233,7 @@ void ReductionChecker::begin(const ReductionInput& in,
                                      std::min(1.0, rate * 1.2)) +
                 kBlock);
   for (std::size_t b = 0; b < nblocks && !none; ++b) {
-    if (!all && element_hash(opt_.seed, b) >= threshold) continue;
+    if (!all && element_hash(kSampleSeed, b) >= threshold) continue;
     block_base_[b] = static_cast<std::uint32_t>(elements_.size());
     const std::size_t e0 = b << kBlockShift;
     const std::size_t e1 = std::min(dim, e0 + kBlock);
@@ -292,7 +291,6 @@ void ReductionChecker::begin(const ReductionInput& in,
       key.dim = dim;
       key.iters = iters;
       key.refs = refs_total;
-      key.seed = opt_.seed;
       key.rate = rate;
       key.fingerprint = pattern_fingerprint(in);
       if (fold_cache_valid_ && key == fold_key_) {
@@ -360,7 +358,7 @@ void ReductionChecker::begin(const ReductionInput& in,
   // (on sparse patterns most sampled slots are untouched). One mix64 per
   // touched slot; element and accumulator enter through distinct odd
   // multipliers so each diffuses independently.
-  const std::uint64_t cs_seed = opt_.seed ^ 0xC0DEull;
+  const std::uint64_t cs_seed = kSampleSeed ^ 0xC0DEull;
   std::uint64_t sum = 0;
   for (std::size_t s = 0; s < n; ++s) {
     if (counts_[s] == 0) continue;
@@ -412,12 +410,9 @@ CheckReport ReductionChecker::verify(std::span<const double> out) const {
           count == 0 ? 0.0 : static_cast<double>(qabs_[s]) * kQuantInv;
       const double expected = before + qsumd;
       const double n = static_cast<double>(count);
-      const double tol =
-          opt_.tolerance_scale *
-              ((8.0 + 2.0 * n) * kEps *
-                   (qabsd + std::abs(before) + std::abs(after)) +
-               (2.0 + n) * kQuantInv) +
-          4 * kTiny;
+      const double tol = (8.0 + 2.0 * n) * kEps *
+                             (qabsd + std::abs(before) + std::abs(after)) +
+                         (2.0 + n) * kQuantInv + 4 * kTiny;
       const double err = std::abs(after - expected);
       if (tol > 0.0)
         rep.max_rel_excess = std::max(rep.max_rel_excess, err / tol);

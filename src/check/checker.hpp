@@ -24,14 +24,15 @@
 //     a witness and demands value equality with Op(before, witness).
 //
 // Sampling: element e is checked iff its 16-element block hashes under the
-// rate threshold — mix64(seed, e/16) < rate·2^64 — a fixed pseudo-random
-// subset, independent of the scheme and of thread count. Block granularity
-// amortizes the membership hash (the selection pass is O(dim/16), not
-// O(dim)) without changing the single-corruption bound: each element's
-// membership is still a Bernoulli(rate) event, so one corrupted element is
-// detected with probability exactly `rate`; only elements sharing a block
-// are correlated (a corruption confined to k unsampled *blocks* escapes
-// with probability (1-rate)^k). rate = 1 checks every element.
+// rate threshold — mix64(kSampleSeed, e/16) < rate·2^64 — a fixed
+// pseudo-random subset, independent of the scheme and of thread count.
+// Block granularity amortizes the membership hash (the selection pass is
+// O(dim/16), not O(dim)) without changing the single-corruption bound:
+// each element's membership is still a Bernoulli(rate) event, so one
+// corrupted element is detected with probability exactly `rate`; only
+// elements sharing a block are correlated (a corruption confined to k
+// unsampled *blocks* escapes with probability (1-rate)^k). rate = 1 checks
+// every element.
 #pragma once
 
 #include <cstdint>
@@ -67,12 +68,6 @@ struct CheckerOptions {
   /// Fraction of elements sampled. Detection probability for one corrupted
   /// element; overhead scales with it.
   double sample_rate = 0.25;
-  /// Seed of the element-sampling hash. Fixed by default so runs are
-  /// reproducible; serving deployments may rotate it per process.
-  std::uint64_t seed = 0x5EEDC0DEDC0FFEEull;
-  /// Multiplier on the sum-tolerance (1.0 = the analytical bound used by
-  /// the differential test suite; raise only to diagnose false positives).
-  double tolerance_scale = 1.0;
 };
 
 /// Outcome of one begin()/verify() cycle.
@@ -93,6 +88,10 @@ struct CheckReport {
 /// before the scheme runs, verdict after.
 class ReductionChecker {
  public:
+  /// Seed of the element-sampling hash. Fixed, so which elements a rate
+  /// samples is reproducible across runs and processes.
+  static constexpr std::uint64_t kSampleSeed = 0x5EEDC0DEDC0FFEEull;
+
   explicit ReductionChecker(CheckerOptions opt, CheckOp op = CheckOp::kSum);
 
   /// Re-arm a checker for a new begin()/verify() cycle with different
@@ -129,12 +128,10 @@ class ReductionChecker {
   /// The sampling predicate, exposed so tests and the fault-injection
   /// experiment can compute the analytical detection probability exactly:
   /// a single corruption of element e is detected iff slot_sampled(...).
-  [[nodiscard]] static bool slot_sampled(std::uint64_t seed, double rate,
-                                         std::uint64_t element);
+  [[nodiscard]] static bool slot_sampled(double rate, std::uint64_t element);
   /// Number of sampled elements in [0, dim) — the exact per-input
   /// detection probability is count/dim for a uniformly placed corruption.
-  [[nodiscard]] static std::size_t count_sampled(std::uint64_t seed,
-                                                 double rate,
+  [[nodiscard]] static std::size_t count_sampled(double rate,
                                                  std::size_t dim);
 
  private:
@@ -187,7 +184,6 @@ class ReductionChecker {
     std::size_t dim = 0;
     std::size_t iters = 0;
     std::size_t refs = 0;
-    std::uint64_t seed = 0;
     double rate = 0.0;
     std::uint64_t fingerprint = 0;
     bool operator==(const FoldKey&) const = default;

@@ -194,7 +194,7 @@ SchemeResult AdaptiveReducer::invoke(const ReductionInput& in,
   double predicted = 0.0;
   for (const auto& cp : decision_.predictions)
     if (cp.scheme == scheme_->kind()) predicted = cp.total();
-  if (predicted > 0.0 && r.total_s() > opt_.mispredict_ratio * predicted) {
+  if (predicted > 0.0 && r.total_s() > kMispredictRatio * predicted) {
     if (++overruns_ >= opt_.mispredict_patience) {
       // The model was wrong about this scheme here: blacklist it and move
       // to the best not-yet-tried alternative (no ping-pong).

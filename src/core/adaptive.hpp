@@ -43,12 +43,10 @@ namespace sapp {
 struct AdaptiveOptions {
   /// Use the rule taxonomy instead of the cost model (ablation).
   bool use_rule_decider = false;
-  /// Measured/predicted overrun that counts as a misprediction.
-  double mispredict_ratio = 2.0;
   /// Consecutive mispredictions before switching to the runner-up.
   int mispredict_patience = 3;
-  /// Drift detector knobs: the pattern-drift threshold plus the
-  /// time-EWMA smoothing, ratio, patience and noise floor.
+  /// Drift detector knobs: the pattern-drift threshold and the time
+  /// detector's patience.
   PhaseMonitorOptions monitor{};
   /// In-flight probabilistic result checking (src/check, docs/checking.md):
   /// when enabled every invocation validates the scheme's combine against
@@ -136,6 +134,9 @@ class AdaptiveReducer {
   [[nodiscard]] const CheckReport& last_check() const { return last_check_; }
 
  private:
+  /// Measured/predicted overrun that counts as a misprediction.
+  static constexpr double kMispredictRatio = 2.0;
+
   void characterize_and_decide(const AccessPattern& p);
   void adopt(SchemeKind kind, const AccessPattern& p);
   void reset_feedback(const PatternSignature& sig, bool warm);

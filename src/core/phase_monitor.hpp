@@ -15,7 +15,7 @@
 //   * **time drift** — an EWMA of the measured per-invocation execution
 //     time is compared against the baseline established when the current
 //     scheme was adopted; a sustained ratio breach in either direction
-//     (`time_drift_ratio` for `time_drift_patience` consecutive
+//     (`kTimeDriftRatio` for `time_drift_patience` consecutive
 //     invocations) means the input has moved into a phase the current
 //     decision was not made for, even when the fingerprint looks stable
 //     (e.g. a connectivity reshuffle that only destroys locality).
@@ -51,32 +51,37 @@ struct PhaseMonitorOptions {
   /// Accumulated relative pattern change (0..1 scale per component) that
   /// triggers re-characterization.
   double pattern_threshold = 0.25;
-  /// EWMA smoothing factor for per-invocation execution times (weight of
-  /// the newest sample).
-  double time_alpha = 0.4;
-  /// EWMA-vs-baseline ratio (either direction) counted as a drifting
-  /// observation.
-  double time_drift_ratio = 2.0;
   /// Consecutive drifting observations before the time detector fires.
   int time_drift_patience = 3;
-  /// Observations averaged into the baseline after a rebase before the
-  /// detector starts judging (ignored when the baseline is seeded from
-  /// cached phase history).
-  int time_warmup = 3;
-  /// Absolute |EWMA - baseline| floor below which observations never count
-  /// as drifting: sub-floor regions are dominated by dispatch and timer
-  /// noise, and pattern drift still covers them.
-  double time_noise_floor_s = 100e-6;
-
-  /// Invocations a freshly (re)based site needs before the time detector
-  /// can possibly fire — "the first monitored window".
-  [[nodiscard]] int window() const { return time_warmup + time_drift_patience; }
 };
 
 /// Accumulates drift between the state at the last (re)characterization
 /// and the current invocation, in both pattern and time.
 class PhaseMonitor {
  public:
+  /// EWMA smoothing factor for per-invocation execution times (weight of
+  /// the newest sample).
+  static constexpr double kTimeAlpha = 0.4;
+  /// EWMA-vs-baseline ratio (either direction) counted as a drifting
+  /// observation.
+  static constexpr double kTimeDriftRatio = 2.0;
+  /// Observations discarded after a rebase before the warmup starts: the
+  /// first invocation of a freshly adopted decision pays first-touch and
+  /// pool wake-up costs that say nothing about its steady state.
+  static constexpr int kTimeColdSamples = 1;
+  /// Observations whose minimum becomes the baseline after the cold ones
+  /// (none of either when the baseline is seeded from cached phase
+  /// history). Host noise only ever adds time, so the fastest warmup
+  /// sample is the estimate a busy machine cannot inflate. A freshly
+  /// (re)based site therefore needs kTimeColdSamples + kTimeWarmup +
+  /// time_drift_patience invocations before the detector can fire — "the
+  /// first monitored window".
+  static constexpr int kTimeWarmup = 3;
+  /// Absolute |EWMA - baseline| floor below which observations never count
+  /// as drifting: sub-floor regions are dominated by dispatch and timer
+  /// noise, and pattern drift still covers them.
+  static constexpr double kTimeNoiseFloorS = 100e-6;
+
   explicit PhaseMonitor(PhaseMonitorOptions opt = {}) : opt_(opt) {}
 
   /// Rebase on a freshly characterized pattern; resets both detectors.
@@ -116,7 +121,7 @@ class PhaseMonitor {
 
   /// Observe the measured execution time of the invocation that just ran;
   /// returns true when the EWMA has drifted from the baseline by more than
-  /// `time_drift_ratio` (and `time_noise_floor_s`) for
+  /// `kTimeDriftRatio` (and `kTimeNoiseFloorS`) for
   /// `time_drift_patience` consecutive observations.
   bool observe_time(double seconds);
 

@@ -10,6 +10,10 @@ namespace sapp {
 
 namespace {
 
+/// Maintenance-thread period: async flush of dirty decisions plus the
+/// capacity sweep.
+constexpr std::chrono::milliseconds kFlushInterval{50};
+
 std::uint64_t now_ns() {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -54,11 +58,9 @@ void Runtime::stop_maintenance() {
 }
 
 void Runtime::maintenance_loop() {
-  const auto interval =
-      std::chrono::duration<double>(std::max(opt_.flush_interval_s, 1e-3));
   std::unique_lock lk(maint_mu_);
   while (!maint_stop_) {
-    maint_cv_.wait_for(lk, interval);
+    maint_cv_.wait_for(lk, kFlushInterval);
     if (maint_stop_) break;
     lk.unlock();
     if (opt_.max_sites > 0) (void)sweep();
@@ -327,8 +329,6 @@ DecisionCache Runtime::snapshot_decisions() const {
 }
 
 DecisionCache Runtime::persisted_decisions() const { return store_->merged(); }
-
-std::size_t Runtime::warm_entries() const { return store_->size(); }
 
 std::size_t Runtime::flush_decisions(std::string* error) {
   if (!store_->persistent()) return 0;

@@ -33,8 +33,9 @@
 //     cleanly. No file I/O ever runs on the submit path. A restart is a
 //     fresh Runtime on the same `decision_cache_dir`.
 //
-// `sapp_repro serving` measures the whole arrangement under sustained
-// multi-threaded churn and CI gates its throughput and p99.
+// `sapp_bench` (workloads serving_hot and serving_churn) measures the
+// whole arrangement under sustained multi-threaded churn, and CI gates
+// its throughput and p99.
 #pragma once
 
 #include <array>
@@ -68,12 +69,9 @@ struct RuntimeOptions {
   /// Directory of the sharded, asynchronously persisted decision store.
   /// When non-empty, the constructor loads every shard for warm starts
   /// (a missing or corrupt shard is a cold start), a maintenance thread
-  /// flushes learned decisions back on `flush_interval_s`, and the
-  /// destructor drains whatever is still dirty.
+  /// flushes learned decisions back every 50 ms, and the destructor
+  /// drains whatever is still dirty.
   std::string decision_cache_dir;
-  /// Maintenance-thread period: async flush of dirty decisions plus the
-  /// capacity sweep.
-  double flush_interval_s = 0.05;
   /// Cap on live sites (0 = unbounded). A creation past the cap evicts
   /// the least-recently-used sites after persisting their decisions.
   std::size_t max_sites = 0;
@@ -149,8 +147,6 @@ class Runtime {
   /// Everything the decision store knows: loaded shards, evicted sites,
   /// flushed snapshots. Live sites may have advanced past this.
   [[nodiscard]] DecisionCache persisted_decisions() const;
-  /// The decisions currently offered to newly created sites.
-  [[nodiscard]] std::size_t warm_entries() const;
   /// Synchronously flush dirty decisions to the store's shard files (the
   /// maintenance thread does this on an interval; this forces it now).
   /// Returns the number of shard files written.

@@ -11,7 +11,7 @@
 //              detections are compared against the analytical bound.
 //
 // Detection is exactly predictable per trial: a single corrupted element e
-// is caught iff ReductionChecker::slot_sampled(seed, rate, e), so beyond
+// is caught iff ReductionChecker::slot_sampled(rate, e), so beyond
 // the aggregate binomial envelope the experiment asserts per-trial
 // agreement (detection_trial_agreement). docs/checking.md derives the
 // bound; the CI repro-smoke gate requires 100% detection at rate 1.0,
@@ -42,13 +42,10 @@ namespace sapp::repro {
 
 namespace {
 
-constexpr std::uint64_t kCheckSeed = 0x5EEDC0DEDC0FFEEull;
-
 CheckerOptions checker_options(double rate) {
   CheckerOptions co;
   co.enabled = true;
   co.sample_rate = rate;
-  co.seed = kCheckSeed;
   return co;
 }
 
@@ -70,8 +67,9 @@ struct OverheadRow {
   std::size_t sampled = 0;
 };
 
-/// In-flight sample rate the serving runtime deploys with (see
-/// exp_serving.cpp); the CI overhead gate is evaluated at this rate.
+/// In-flight sample rate the serving runtime deploys with (sapp_bench's
+/// serving workloads run at it); the CI overhead gate is evaluated at this
+/// rate.
 constexpr double kServingRate = 0.05;
 
 OverheadRow measure_row(RunContext& ctx, const workloads::Workload& w,
@@ -112,8 +110,7 @@ OverheadRow measure_row(RunContext& ctx, const workloads::Workload& w,
   checked(kServingRate, row.serving_s);
   checked(0.25, row.quarter_s);
   checked(1.0, row.full_s);
-  row.sampled = ReductionChecker::count_sampled(kCheckSeed, 0.25,
-                                                w.input.pattern.dim);
+  row.sampled = ReductionChecker::count_sampled(0.25, w.input.pattern.dim);
   return row;
 }
 
@@ -176,8 +173,8 @@ TrialBatch scheme_combine_trials(RunContext& ctx, double rate, int trials,
     if (inj.injected() != shots_before + 1) continue;
     ++b.injected;
     const bool detected = red.check_failures() == before + 1;
-    const bool predicted = ReductionChecker::slot_sampled(
-        kCheckSeed, rate, inj.events().back().element);
+    const bool predicted =
+        ReductionChecker::slot_sampled(rate, inj.events().back().element);
     b.detected += detected ? 1 : 0;
     b.predicted += predicted ? 1 : 0;
     if (detected != predicted) tally.trial_agreement = false;
@@ -236,8 +233,8 @@ TrialBatch spec_commit_trials(RunContext& ctx, double rate, int trials,
     if (inj.injected() != 1) continue;
     ++b.injected;
     const bool detected = st.check_failures >= 1;
-    const bool predicted = ReductionChecker::slot_sampled(
-        kCheckSeed, rate, inj.events()[0].element);
+    const bool predicted =
+        ReductionChecker::slot_sampled(rate, inj.events()[0].element);
     b.detected += detected ? 1 : 0;
     b.predicted += predicted ? 1 : 0;
     if (detected != predicted) tally.trial_agreement = false;
@@ -292,8 +289,8 @@ TrialBatch restored_decision_trials(RunContext& ctx, double rate, int trials,
     if (inj.injected() != 1) continue;  // cold start: site never fired
     ++b.injected;
     const bool detected = rt.check_failures() == 1;
-    const bool predicted = ReductionChecker::slot_sampled(
-        kCheckSeed, rate, inj.events()[0].element);
+    const bool predicted =
+        ReductionChecker::slot_sampled(rate, inj.events()[0].element);
     b.detected += detected ? 1 : 0;
     b.predicted += predicted ? 1 : 0;
     if (detected != predicted) tally.trial_agreement = false;
@@ -403,8 +400,7 @@ ExperimentResult run_checking(RunContext& ctx) {
   // sampled fraction of the detection input's element space.
   const std::size_t dim = detection_input(424242).pattern.dim;
   const double analytic =
-      static_cast<double>(ReductionChecker::count_sampled(kCheckSeed, 0.25,
-                                                          dim)) /
+      static_cast<double>(ReductionChecker::count_sampled(0.25, dim)) /
       static_cast<double>(dim);
   const double observed_quarter =
       quarter_trials > 0.0 ? quarter_obs / quarter_trials : 0.0;
@@ -434,15 +430,15 @@ ExperimentResult run_checking(RunContext& ctx) {
   res.metric("false_positives", static_cast<double>(tally.false_positives));
   res.note("checker_overhead_pct compares wall time of rep-scheme "
            "executions with and without the in-flight checker at the "
-           "serving deployment rate (0.05, the rate exp_serving.cpp runs "
-           "with), summed over fig3 rows (median of reps each); the "
-           "checked time includes the output snapshot, the input-stream "
-           "checksum pass and the verdict. The CI gate is <= 15% at full "
-           "fig3 scale; checker_overhead_quarter_pct / _full_pct report "
-           "the audit rates 0.25 and 1.0, whose cost grows with the "
-           "sampled fraction (see docs/checking.md).");
+           "serving deployment rate (0.05, the rate sapp_bench's serving "
+           "workloads run with), summed over fig3 rows (median of reps "
+           "each); the checked time includes the output snapshot, the "
+           "input-stream checksum pass and the verdict. The CI gate is <= "
+           "15% at full fig3 scale; checker_overhead_quarter_pct / "
+           "_full_pct report the audit rates 0.25 and 1.0, whose cost "
+           "grows with the sampled fraction (see docs/checking.md).");
   res.note("Detection is exactly predictable per trial: a corruption of "
-           "element e is caught iff slot_sampled(seed, rate, e), so "
+           "element e is caught iff slot_sampled(rate, e), so "
            "detection_trial_agreement = 1 means every trial matched the "
            "analytical predicate; detection_within_tolerance additionally "
            "places the uniform-victim aggregate at rate 0.25 inside 4 "

@@ -170,7 +170,7 @@ ExperimentResult run_adaptive_sites(RunContext& ctx) {
   {
     Runtime cold(ctx.runtime_options());
     Runtime warm(warm_options());
-    if (warm.warm_entries() < S)
+    if (warm.decision_store().size() < S)
       throw std::runtime_error("learned decisions did not persist to " +
                                cache_dir);
     for (std::size_t s = 0; s < S; ++s) {

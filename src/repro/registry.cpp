@@ -39,7 +39,6 @@ ExperimentRegistry& builtin_experiments() {
     register_overhead_experiments(*r);
     register_runtime_experiments(*r);
     register_phase_drift_experiments(*r);
-    register_serving_experiments(*r);
     register_checking_experiments(*r);
     register_kernel_experiments(*r);
     register_simplify_experiments(*r);

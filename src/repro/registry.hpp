@@ -65,7 +65,6 @@ void register_speculation_experiments(ExperimentRegistry& r);
 void register_overhead_experiments(ExperimentRegistry& r);
 void register_runtime_experiments(ExperimentRegistry& r);
 void register_phase_drift_experiments(ExperimentRegistry& r);
-void register_serving_experiments(ExperimentRegistry& r);
 void register_checking_experiments(ExperimentRegistry& r);
 void register_kernel_experiments(ExperimentRegistry& r);
 void register_simplify_experiments(ExperimentRegistry& r);

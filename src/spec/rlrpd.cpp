@@ -161,10 +161,8 @@ RlrpdStats rlrpd_execute(std::size_t n, const SpecLoopBody& body,
   if (cfg.check.enabled) {
     sampled.resize(data.size());
     for (std::size_t e = 0; e < data.size(); ++e)
-      sampled[e] = ReductionChecker::slot_sampled(
-                       cfg.check.seed, cfg.check.sample_rate, e)
-                       ? 1
-                       : 0;
+      sampled[e] =
+          ReductionChecker::slot_sampled(cfg.check.sample_rate, e) ? 1 : 0;
     sampled_ptr = &sampled;
   }
 

@@ -1,5 +1,5 @@
-// Serving-mix site generator — the randomized population behind the
-// `sapp_repro serving` stress harness.
+// Serving-mix site generator — the randomized population behind
+// sapp_bench's serving_hot and serving_churn workloads.
 //
 // A serving workload is not one loop: it is thousands of distinct loop
 // sites, each with its own shape, arriving interleaved from many client

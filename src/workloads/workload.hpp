@@ -167,7 +167,7 @@ struct LoopWorkload {
 /// site. Sites span the regimes of every scheme — dense sweeps, sparse
 /// scatters, skewed histograms — and are tagged "serve/s<index>".
 /// `scale` multiplies the iteration count (request cost), not the
-/// population shape. See `sapp_repro serving` / docs/serving.md.
+/// population shape. See sapp_bench's serving workloads / docs/serving.md.
 [[nodiscard]] Workload make_serving_site(std::size_t index, double scale,
                                          std::uint64_t seed);
 

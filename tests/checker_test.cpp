@@ -140,7 +140,7 @@ void detection_trials(double rate, int corruptions_per_trial, int trials) {
 
   const std::size_t dim = in.pattern.dim;
   const double s =
-      static_cast<double>(ReductionChecker::count_sampled(co.seed, rate, dim)) /
+      static_cast<double>(ReductionChecker::count_sampled(rate, dim)) /
       static_cast<double>(dim);
   Rng rng(0xFA017u + static_cast<std::uint64_t>(corruptions_per_trial));
   int detected = 0;
@@ -154,7 +154,7 @@ void detection_trials(double rate, int corruptions_per_trial, int trials) {
     bool predicted = false;
     for (const std::uint64_t e : victims) {
       out[e] = corrupt_value(out[e]);
-      predicted |= ReductionChecker::slot_sampled(co.seed, rate, e);
+      predicted |= ReductionChecker::slot_sampled(rate, e);
     }
     const bool got = !checker.verify(out).passed;
     ASSERT_EQ(got, predicted)

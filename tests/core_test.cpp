@@ -322,8 +322,7 @@ TEST(AdaptiveReducer, MispredictionSwitchesScheme) {
   const auto in = sparse_input();
   ThreadPool pool(2);
   AdaptiveReducer red(pool, poisoned,
-                      AdaptiveOptions{.mispredict_ratio = 3.0,
-                                      .mispredict_patience = 2});
+                      AdaptiveOptions{.mispredict_patience = 2});
   std::vector<double> out(in.pattern.dim, 0.0);
   const SchemeKind first = [&] {
     red.invoke(in, out);
@@ -517,7 +516,7 @@ TEST(Runtime, WarmStartAdoptsCachedSchemeAndSkipsCharacterization) {
     learned = learner.site("site").current();
   }
   Runtime rt(persisted(2, dir));
-  EXPECT_EQ(rt.warm_entries(), 1u);
+  EXPECT_EQ(rt.decision_store().size(), 1u);
   std::fill(out.begin(), out.end(), 0.0);
   (void)rt.submit("site", in, out);
   const AdaptiveReducer& r = rt.site("site");
@@ -594,7 +593,6 @@ TEST(Runtime, WarmStartWithPoisonedCacheEscapesViaRecharacterization) {
   d.predicted_total_s = 1e-12;  // everything overruns this
 
   RuntimeOptions o = uncalibrated(2);
-  o.adaptive.mispredict_ratio = 2.0;
   o.adaptive.mispredict_patience = 2;
   Runtime rt(o);
   rt.decision_store().put(d);  // offered to the site on its creation

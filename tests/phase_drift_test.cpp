@@ -32,18 +32,19 @@ TEST(TimeDriftDetector, SteadyNoiseNeverFires) {
 TEST(TimeDriftDetector, FiresWithinWindowOfARealShift) {
   PhaseMonitorOptions opt;
   PhaseMonitor mon(opt);
-  for (int k = 0; k < opt.time_warmup + 5; ++k)
+  const int window = PhaseMonitor::kTimeWarmup + opt.time_drift_patience;
+  for (int k = 0; k < PhaseMonitor::kTimeWarmup + 5; ++k)
     EXPECT_FALSE(mon.observe_time(1e-3));
   // The input moves into a 4x-slower phase: the detector must fire within
   // the monitored window, not eventually.
   bool fired = false;
   int fired_at = 0;
-  for (int k = 1; k <= opt.window() && !fired; ++k) {
+  for (int k = 1; k <= window && !fired; ++k) {
     fired = mon.observe_time(4e-3);
     fired_at = k;
   }
   EXPECT_TRUE(fired);
-  EXPECT_LE(fired_at, opt.window());
+  EXPECT_LE(fired_at, window);
   EXPECT_GE(fired_at, opt.time_drift_patience);  // sustained, not a spike
 }
 
@@ -76,7 +77,8 @@ TEST(TimeDriftDetector, SeededBaselineJudgesWithoutWarmup) {
   mon.seed_time_baseline(1e-3);  // persisted phase history said ~1 ms
   EXPECT_TRUE(mon.time_seeded());
   int fired_at = 0;
-  for (int k = 1; k <= opt.window(); ++k) {
+  for (int k = 1; k <= PhaseMonitor::kTimeWarmup + opt.time_drift_patience;
+       ++k) {
     if (mon.observe_time(10e-3)) {
       fired_at = k;
       break;
@@ -259,7 +261,8 @@ TEST(Runtime, StalePhaseHistoryWarmStartRecharacterizesWithinWindow) {
   o.adaptive.mispredict_patience = 1 << 30;  // isolate the history path
   Runtime rt(o);
   rt.decision_store().put(d);  // offered to the site on its creation
-  const int window = o.adaptive.monitor.window();
+  const int window =
+      PhaseMonitor::kTimeWarmup + o.adaptive.monitor.time_drift_patience;
   std::vector<double> out(in.pattern.dim, 0.0);
   (void)rt.submit("site", in, out);
   EXPECT_TRUE(rt.site("site").warm_started());
@@ -295,7 +298,8 @@ TEST(Runtime, HonestWarmStartKeepsTheCachedScheme) {
     EXPECT_FALSE(snap.find("site")->phase_times_s.empty());
   }
   Runtime rt(o);
-  const int window = o.adaptive.monitor.window();
+  const int window =
+      PhaseMonitor::kTimeWarmup + o.adaptive.monitor.time_drift_patience;
   for (int k = 0; k < window + 2; ++k) (void)rt.submit("site", in, out);
   EXPECT_TRUE(rt.site("site").warm_started());
   EXPECT_EQ(rt.site("site").recharacterizations(), 0u);

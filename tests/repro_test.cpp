@@ -5,12 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <iterator>
 #include <set>
 #include <stdexcept>
 
-#include "repro/histogram.hpp"
 #include "repro/registry.hpp"
 #include "repro/runner.hpp"
 
@@ -139,9 +137,9 @@ TEST(ExperimentRegistry, BuiltinExperimentsAreStable) {
       "ablation_linesize",       "ablation_placement",
       "ablation_flex_occupancy", "spec_rlrpd",
       "overhead",                "adaptive_sites",
-      "phase_drift",             "serving",
-      "checking",                "kernels",
-      "simplify",                "distributed",
+      "phase_drift",             "checking",
+      "kernels",                 "simplify",
+      "distributed",
   };
   const auto& reg = builtin_experiments();
   ASSERT_GE(reg.size(), 9u);
@@ -306,173 +304,6 @@ TEST(ReproValidate, CatchesSchemaViolations) {
 TEST(ReproResult, RowWidthMismatchIsFatal) {
   ResultTable t("t", {"a", "b"});
   EXPECT_DEATH(t.add_row({1}), "width");
-}
-
-// ----------------------------------------------------- latency histogram
-
-TEST(LatencyHistogram, QuantilesLandWithinBucketError) {
-  // Log-linear buckets (8 per octave) bound the relative quantile error
-  // by one bucket width: ~1/8 ≈ 12.5%, well inside 15%.
-  LatencyHistogram h;
-  for (int i = 1; i <= 1000; ++i) h.record(1e-6 * i);  // 1us..1ms uniform
-  EXPECT_EQ(h.count(), 1000u);
-  EXPECT_NEAR(h.quantile(0.5), 500e-6, 500e-6 * 0.15);
-  EXPECT_NEAR(h.quantile(0.99), 990e-6, 990e-6 * 0.15);
-  EXPECT_NEAR(h.quantile(1.0), 1e-3, 1e-3 * 0.15);
-  EXPECT_NEAR(h.mean(), 500.5e-6, 500.5e-6 * 0.01);  // exact sum, not buckets
-  EXPECT_DOUBLE_EQ(h.max(), 1e-3);
-  // Quantiles are monotone in q.
-  double prev = 0.0;
-  for (double q : {0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0}) {
-    EXPECT_GE(h.quantile(q), prev) << q;
-    prev = h.quantile(q);
-  }
-}
-
-TEST(LatencyHistogram, MergeMatchesCombinedRecording) {
-  LatencyHistogram a, b, both;
-  for (int i = 0; i < 100; ++i) {
-    const double x = 1e-6 * (i + 1);
-    const double y = 1e-4 * (i + 1);
-    a.record(x);
-    b.record(y);
-    both.record(x);
-    both.record(y);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), both.count());
-  for (double q : {0.1, 0.5, 0.9, 0.99})
-    EXPECT_DOUBLE_EQ(a.quantile(q), both.quantile(q)) << q;
-  EXPECT_DOUBLE_EQ(a.max(), both.max());
-}
-
-TEST(LatencyHistogram, QuantileZeroReturnsTheMinLatencyBucket) {
-  LatencyHistogram h;
-  h.record(2e-6);
-  h.record(500e-6);
-  h.record(900e-6);
-  // q = 0 means "the smallest recorded latency's bucket", never a vacuous
-  // rank-0 threshold — and q = 1 the largest.
-  EXPECT_NEAR(h.quantile(0.0), 2e-6, 2e-6 * 0.15);
-  EXPECT_NEAR(h.quantile(1.0), 900e-6, 900e-6 * 0.15);
-  EXPECT_LT(h.quantile(0.0), h.quantile(1.0));
-}
-
-TEST(LatencyHistogram, SingleSampleAnswersEveryQuantile) {
-  LatencyHistogram h;
-  h.record(3e-6);
-  for (double q : {0.0, 0.25, 0.5, 0.99, 1.0})
-    EXPECT_NEAR(h.quantile(q), 3e-6, 3e-6 * 0.15) << q;
-}
-
-TEST(LatencyHistogram, AllSamplesInOverflowBucket) {
-  // Far past the top octave: everything lands in the last bucket, and
-  // every quantile (including q = 0) reports that bucket's value.
-  LatencyHistogram h;
-  h.record(3600.0);
-  h.record(7200.0);
-  EXPECT_EQ(h.count(), 2u);
-  EXPECT_DOUBLE_EQ(h.quantile(0.0), h.quantile(1.0));
-  EXPECT_GT(h.quantile(0.0), 0.0);
-}
-
-TEST(LatencyHistogram, InvalidSamplesAreCountedNotRecorded) {
-  LatencyHistogram h;
-  h.record(1e-6);
-  h.record(-5.0);
-  h.record(std::nan(""));
-  EXPECT_EQ(h.count(), 1u);
-  EXPECT_EQ(h.invalid_samples(), 2u);
-  EXPECT_DOUBLE_EQ(h.mean(), 1e-6);   // mean/max untouched by rejects
-  EXPECT_DOUBLE_EQ(h.max(), 1e-6);
-
-  LatencyHistogram other;
-  other.record(-1.0);
-  h.merge(other);  // merge folds the invalid counter too
-  EXPECT_EQ(h.invalid_samples(), 3u);
-  EXPECT_EQ(h.count(), 1u);
-}
-
-TEST(LatencyHistogram, DegenerateInputsAreSafe) {
-  LatencyHistogram h;
-  EXPECT_DOUBLE_EQ(h.quantile(0.5), 0.0);  // empty
-  h.record(0.0);
-  h.record(-1.0);      // clock went backwards: a timer bug, not a sample
-  h.record(1e-12);     // sub-nanosecond
-  h.record(3600.0);    // past the top octave: clamps to the last bucket
-  EXPECT_EQ(h.count(), 3u);  // the negative was rejected, not clamped
-  EXPECT_EQ(h.invalid_samples(), 1u);
-  EXPECT_GT(h.quantile(1.0), 0.0);
-}
-
-// ------------------------------------------- serving experiment schema
-
-// Deterministic tiny smoke of the serving stress harness: the metrics the
-// CI gate greps for must exist, be numbers, and satisfy the invariants
-// that hold at any scale (bounded table, zero mismatches, request count).
-TEST(ReproServing, TinyRunReportsGatedMetricsAndInvariants) {
-  RunOptions opt;
-  opt.tiny = true;
-  opt.threads = 2;
-  RunContext ctx(opt);
-  const Experiment& exp = builtin_experiments().find("serving");
-  const ExperimentResult result = exp.run(ctx);
-
-  RunMeta meta;
-  meta.experiment = exp.name;
-  meta.title = exp.title;
-  meta.paper_ref = exp.paper_ref;
-  meta.scale = ctx.scale(exp.default_scale);
-  meta.threads = ctx.threads();
-  meta.reps = ctx.reps();
-  meta.warmup = ctx.warmup();
-  meta.tiny = true;
-  const JsonValue doc = result_to_json(meta, HostInfo::current(), result);
-  EXPECT_EQ(validate_result_json(doc), "");
-
-  const auto& tables = doc.find("tables")->items();
-  ASSERT_EQ(tables.size(), 1u);
-  EXPECT_EQ(tables[0].find("name")->as_string(), "serving_reps");
-
-  const JsonValue* metrics = doc.find("metrics");
-  ASSERT_NE(metrics, nullptr);
-  const auto num = [&](const char* name) {
-    const JsonValue* v = metrics->find(name);
-    EXPECT_NE(v, nullptr) << name;
-    EXPECT_TRUE(v != nullptr && v->is_number()) << name;
-    return v != nullptr && v->is_number() ? v->as_number() : -1.0;
-  };
-  // The CI repro-smoke gate reads exactly these.
-  EXPECT_GT(num("throughput_rps"), 0.0);
-  EXPECT_GT(num("p50_ms"), 0.0);
-  EXPECT_GE(num("p99_ms"), num("p50_ms"));
-  EXPECT_EQ(num("sanity_mismatches"), 0.0);
-  EXPECT_EQ(num("site_table_bounded"), 1.0);
-  // Scale-independent shape invariants.
-  EXPECT_GE(num("sites_distinct"), 64.0);
-  EXPECT_GT(num("site_cap"), 0.0);
-  EXPECT_LT(num("site_cap"), num("sites_distinct"));
-  EXPECT_EQ(num("requests"), num("sites_distinct") * 12);
-  EXPECT_LE(num("end_live_sites"), num("site_cap"));
-  EXPECT_LE(num("max_live_sites"),
-            num("site_cap") + num("client_threads"));
-  // Churn must actually churn: far more evictions than the table holds,
-  // and evicted sites coming back warm.
-  EXPECT_GT(num("evictions"), num("site_cap"));
-  EXPECT_GT(num("warm_reregistrations"), 0.0);
-  EXPECT_GT(num("store_flushes"), 0.0);
-  EXPECT_EQ(num("store_flush_failures"), 0.0);
-  // Restart drill: every rep past the first reloads the shared sharded
-  // store in a fresh Runtime — decisions must be present at construction,
-  // returning sites must warm-start, and results must stay correct.
-  EXPECT_GE(num("restart_reps"), 1.0);
-  EXPECT_GT(num("restart_store_entries_min"), 0.0);
-  EXPECT_LE(num("restart_store_entries_min"), num("sites_distinct"));
-  EXPECT_GT(num("restart_warm_offers"), 0.0);
-  EXPECT_EQ(num("restart_mismatches"), 0.0);
-  // In-flight checking ran on every submission and never fired.
-  EXPECT_GE(num("checks_run"), num("requests"));
-  EXPECT_EQ(num("check_failures"), 0.0);
 }
 
 // ------------------------------------------ checking experiment schema

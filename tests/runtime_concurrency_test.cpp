@@ -267,7 +267,7 @@ TEST(RuntimeConcurrency, ConcurrentWarmStartsAdoptCachedDecisions) {
   }
 
   Runtime rt(o);
-  EXPECT_EQ(rt.warm_entries(), static_cast<std::size_t>(kThreads));
+  EXPECT_EQ(rt.decision_store().size(), static_cast<std::size_t>(kThreads));
 
   std::barrier start(kThreads);
   std::vector<std::thread> threads;
@@ -299,7 +299,9 @@ TEST(RuntimeConcurrency, SiteChurnStressStaysBoundedAndExactlyOnce) {
   // and the lifetime-invocation counters, summed per site across live
   // state and evicted-site store snapshots, add up to the request count
   // (eviction persists a site's counter and a warm restart resumes it, so
-  // churn can neither lose nor duplicate evidence).
+  // churn can neither lose nor duplicate evidence). The store has a
+  // directory, so the maintenance thread's async shard flushes race the
+  // eviction too, and none of them may fail.
   constexpr std::size_t kSites = 96;
   constexpr std::size_t kCap = 12;
   constexpr int kThreads = 6;
@@ -320,8 +322,10 @@ TEST(RuntimeConcurrency, SiteChurnStressStaysBoundedAndExactlyOnce) {
     run_sequential(inputs.back(), refs.back());
   }
 
+  const ScopedTempDir dir;
   RuntimeOptions o = quiet_options();
   o.max_sites = kCap;
+  o.decision_cache_dir = dir.path();
   Runtime rt(o);
 
   std::atomic<bool> done{false};
@@ -374,6 +378,10 @@ TEST(RuntimeConcurrency, SiteChurnStressStaysBoundedAndExactlyOnce) {
     }
   }
   EXPECT_EQ(total, static_cast<std::uint64_t>(kThreads) * kRequests);
+
+  (void)rt.flush_decisions();
+  EXPECT_GT(rt.decision_store().flushes(), 0u);
+  EXPECT_EQ(rt.decision_store().flush_failures(), 0u);
 }
 
 }  // namespace

@@ -133,15 +133,15 @@ TEST(RuntimeEviction, TableStaysBoundedThroughSustainedChurn) {
   }
   EXPECT_GE(rt.evictions(), 40u * 3u - 8u);
   // Bounded table, unbounded knowledge: every site's decision is held.
-  EXPECT_EQ(rt.warm_entries(), 40u);
+  EXPECT_EQ(rt.decision_store().size(), 40u);
 }
 
-// Process-restart flow (the serving harness measures the same thing at
-// scale): a second Runtime pointed at the first one's decision-store
-// directory must warm-start every returning site from the reloaded
-// sharded store — warm offers counted, zero re-characterizations, results
-// identical — with eviction churn in between, so the knowledge crossing
-// the restart went through evict → persist → reload, not live memory.
+// Process-restart flow, the serving path's restart drill: a second
+// Runtime pointed at the first one's decision-store directory must
+// warm-start every returning site from the reloaded sharded store — warm
+// offers counted, zero re-characterizations, results identical — with
+// eviction churn in between, so the knowledge crossing the restart went
+// through evict → persist → reload, not live memory.
 TEST(RuntimeEviction, RestartReloadsShardedStoreAndWarmStarts) {
   namespace fs = std::filesystem;
   const std::string dir =
@@ -186,7 +186,7 @@ TEST(RuntimeEviction, RestartReloadsShardedStoreAndWarmStarts) {
   }
 
   Runtime rt2(o);
-  EXPECT_EQ(rt2.warm_entries(), static_cast<std::size_t>(kSites))
+  EXPECT_EQ(rt2.decision_store().size(), static_cast<std::size_t>(kSites))
       << "the fresh Runtime must reload every persisted decision";
   EXPECT_EQ(rt2.site_count(), 0u);
   std::vector<double> out;

@@ -15,6 +15,9 @@ Two checks, both standard-library only:
    in docs/reproducing.md and has committed reference results
    (<name>.md + <name>.json) under docs/results/linux-x86_64/ — a new
    experiment cannot land undocumented or without reference numbers.
+   Conversely, every reference result file and every row of that
+   directory's index.md names a registered experiment, so deleting an
+   experiment cannot leave its numbers behind.
 
 Exit code: 0 = everything resolves, 1 = problems (each printed as
 file:line: target or as a coverage message).
@@ -119,6 +122,32 @@ def check_experiment_coverage(
                     f"{src}: experiment '{name}' has no committed reference "
                     f"result docs/{REFERENCE_RESULTS_DIR}/{name}.{ext}"
                 )
+    errors.extend(check_orphaned_results(results, {n for n, _ in experiments}))
+    return errors
+
+
+# A row of the results index: `| <experiment> | <paper> | ...`.
+INDEX_ROW = re.compile(r"^\|\s*([A-Za-z0-9_]+)\s*\|")
+
+
+def check_orphaned_results(results: Path, registered: set[str]) -> list[str]:
+    """Reference results (files or index rows) of unregistered experiments."""
+    errors: list[str] = []
+    rel = f"docs/{REFERENCE_RESULTS_DIR}"
+    for f in sorted(results.glob("*")):
+        if f.name == "index.md" or f.suffix not in (".md", ".json"):
+            continue
+        if f.stem not in registered:
+            errors.append(f"{rel}/{f.name}: reference result of unregistered "
+                          f"experiment '{f.stem}'")
+    index = results / "index.md"
+    if index.exists():
+        lines = index.read_text(encoding="utf-8").splitlines()
+        for lineno, line in enumerate(lines, 1):
+            m = INDEX_ROW.match(line)
+            if m and m.group(1) != "Experiment" and m.group(1) not in registered:
+                errors.append(f"{rel}/index.md:{lineno}: row for unregistered "
+                              f"experiment '{m.group(1)}'")
     return errors
 
 
@@ -142,7 +171,8 @@ def main() -> int:
         return 1
     print(f"OK: all relative links resolve across {checked} markdown file(s); "
           f"all {len(experiments)} registered experiments are documented in "
-          f"docs/reproducing.md with committed reference results")
+          f"docs/reproducing.md with committed reference results, and no "
+          f"reference result is orphaned")
     return 0
 
 
