@@ -162,13 +162,14 @@ void ReductionChecker::fold_serial(const ReductionInput& in,
 }
 
 void ReductionChecker::fold_record(const ReductionInput& in,
+                                   SampledPositions& cache,
                                    std::span<std::uint32_t> counts,
                                    std::span<__int128> qsum,
                                    std::span<std::uint64_t> qabs,
                                    std::span<double> witness,
-                                   std::span<const double> scale) {
-  fold_pos_.clear();
-  fold_iter_.clear();
+                                   std::span<const double> scale) const {
+  cache.pos.clear();
+  cache.scale.clear();
   const auto& refs = in.pattern.refs;
   const double* vals = in.values.data();
   const auto& ptr = refs.row_ptr();
@@ -180,8 +181,8 @@ void ReductionChecker::fold_record(const ReductionInput& in,
       const std::uint32_t e = idx[j];
       const std::uint32_t base = block_base_[e >> kBlockShift];
       if (base == kUnsampled) continue;
-      fold_pos_.push_back(static_cast<std::uint32_t>(j));
-      fold_iter_.push_back(static_cast<std::uint32_t>(i));
+      cache.pos.push_back(static_cast<std::uint32_t>(j));
+      cache.scale.push_back(s);
       const std::uint32_t slot =
           base + (e & static_cast<std::uint32_t>(kBlock - 1));
       accumulate_slot(op_, slot, vals[j] * s, counts, qsum, qabs, witness);
@@ -190,25 +191,41 @@ void ReductionChecker::fold_record(const ReductionInput& in,
 }
 
 void ReductionChecker::fold_replay(const ReductionInput& in,
+                                   const SampledPositions& cache,
                                    std::span<std::uint32_t> counts,
                                    std::span<__int128> qsum,
                                    std::span<std::uint64_t> qabs,
-                                   std::span<double> witness,
-                                   std::span<const double> scale) const {
+                                   std::span<double> witness) const {
   const double* vals = in.values.data();
   const std::uint32_t* idx = in.pattern.refs.indices().data();
-  for (std::size_t k = 0; k < fold_pos_.size(); ++k) {
-    const std::uint32_t j = fold_pos_[k];
+  for (std::size_t k = 0; k < cache.pos.size(); ++k) {
+    const std::uint32_t j = cache.pos[k];
     const std::uint32_t e = idx[j];
     const std::uint32_t slot = block_base_[e >> kBlockShift] +
                                (e & static_cast<std::uint32_t>(kBlock - 1));
-    const double c = vals[j] * scale[fold_iter_[k] & 1023];
+    const double c = vals[j] * cache.scale[k];
     accumulate_slot(op_, slot, c, counts, qsum, qabs, witness);
   }
 }
 
+std::span<const double> ReductionChecker::scale_table(unsigned body_flops) {
+  // iteration_scale depends only on iter % 1024, so one 1024-entry table
+  // replaces the per-iteration flops chain (the scheme still pays it; the
+  // checker does not — this is what keeps the overhead a small fraction
+  // of loop time). The table is cached across begins: the flops chain per
+  // entry is expensive for device-model workloads.
+  if (scale_.size() != 1024 || scale_flops_ != body_flops) {
+    scale_.resize(1024);
+    for (std::size_t k = 0; k < scale_.size(); ++k)
+      scale_[k] = iteration_scale(k, body_flops);
+    scale_flops_ = body_flops;
+  }
+  return scale_;
+}
+
 void ReductionChecker::begin(const ReductionInput& in,
-                             std::span<const double> out, ThreadPool* pool) {
+                             std::span<const double> out, ThreadPool* pool,
+                             SampledPositions* positions) {
   SAPP_REQUIRE(in.consistent(), "values/pattern size mismatch");
   SAPP_REQUIRE(out.size() == in.pattern.dim, "output size mismatch");
   Timer t;
@@ -252,20 +269,7 @@ void ReductionChecker::begin(const ReductionInput& in,
     accum_cap_ = n;
   }
 
-  // --- Recompute contributions from the input stream. iteration_scale
-  // depends only on iter % 1024, so one 1024-entry table replaces the
-  // per-iteration flops chain (the scheme still pays it; the checker does
-  // not — this is what keeps the overhead a small fraction of loop time).
-  // The table itself is cached across begins: the flops chain per entry
-  // is expensive for device-model workloads, and body_flops rarely moves.
-  if (scale_.size() != 1024 || scale_flops_ != in.pattern.body_flops) {
-    scale_.resize(1024);
-    for (std::size_t k = 0; k < scale_.size(); ++k)
-      scale_[k] = iteration_scale(k, in.pattern.body_flops);
-    scale_flops_ = in.pattern.body_flops;
-  }
-  const std::span<const double> scale(scale_);
-
+  // --- Recompute contributions from the input stream.
   const std::size_t iters = in.pattern.iterations();
   const std::size_t refs_total = in.pattern.refs.indices().size();
   const std::span<std::uint32_t> counts(counts_);
@@ -276,29 +280,34 @@ void ReductionChecker::begin(const ReductionInput& in,
       pool != nullptr && pool->size() > 1 && iters >= 4096 && n > 0;
   if (!parallel) {
     // The sampled-positions cache pays off only for a partial sample on
-    // a pattern this checker has folded before (the steady state of a
-    // serving site re-submitting its loop); anything else is a plain scan.
+    // a pattern the cache has seen before (the steady state of a serving
+    // site re-submitting its loop); anything else is a plain scan.
     const bool cacheable =
         !all && !none && n > 0 &&
         refs_total <= std::numeric_limits<std::uint32_t>::max() &&
         iters <= std::numeric_limits<std::uint32_t>::max();
     if (!cacheable) {
-      fold_serial(in, 0, iters, counts, qsum, qabs, witness, scale);
+      fold_serial(in, 0, iters, counts, qsum, qabs, witness,
+                  scale_table(in.pattern.body_flops));
     } else {
-      FoldKey key;
+      SampledPositions& cache =
+          positions != nullptr ? *positions : own_positions_;
+      SampledPositions::Key key;
       key.idx = in.pattern.refs.indices().data();
       key.row_ptr = in.pattern.refs.row_ptr().data();
       key.dim = dim;
       key.iters = iters;
       key.refs = refs_total;
       key.rate = rate;
+      key.body_flops = in.pattern.body_flops;
       key.fingerprint = pattern_fingerprint(in);
-      if (fold_cache_valid_ && key == fold_key_) {
-        fold_replay(in, counts, qsum, qabs, witness, scale);
+      if (cache.valid && key == cache.key) {
+        fold_replay(in, cache, counts, qsum, qabs, witness);
       } else {
-        fold_key_ = key;
-        fold_record(in, counts, qsum, qabs, witness, scale);
-        fold_cache_valid_ = true;
+        cache.key = key;
+        fold_record(in, cache, counts, qsum, qabs, witness,
+                    scale_table(in.pattern.body_flops));
+        cache.valid = true;
       }
     }
   } else {
@@ -317,6 +326,7 @@ void ReductionChecker::begin(const ReductionInput& in,
     };
     std::vector<Shard> shard(P);
     const bool is_sum = op_ == CheckOp::kSum;
+    const std::span<const double> scale = scale_table(in.pattern.body_flops);
     ThreadPool& tp = *pool;
     auto* self = this;
     tp.run([&, self](unsigned tid) {

@@ -84,6 +84,41 @@ struct CheckReport {
   double check_s = 0.0;              ///< wall time spent checking
 };
 
+/// Sampled-positions cache of one access pattern: on a serial fold over a
+/// pattern already seen (same Key), only the reference positions that hit
+/// sampled blocks are replayed — O(rate·refs) instead of O(refs), which
+/// is what makes steady-state checking cheap for a long-lived serving
+/// site that submits the same pattern repeatedly. The replay accumulates
+/// in the recording scan's order, so the checker state is bitwise
+/// identical to a full scan. A checker keeps one of its own; a caller
+/// that checks many patterns alternately (AdaptiveReducer, one per site)
+/// passes its own to begin(), so the sites do not evict each other.
+struct SampledPositions {
+  /// Identity of an access pattern: buffer addresses and sizes plus a
+  /// content fingerprint over three 64-index windows of the reference
+  /// stream. A stale hit would need a reallocation at the same addresses
+  /// with the same sizes and matching windows — the checker otherwise
+  /// rescans, so mutated patterns only cost the cache, never the verdict.
+  struct Key {
+    const void* idx = nullptr;
+    const void* row_ptr = nullptr;
+    std::size_t dim = 0;
+    std::size_t iters = 0;
+    std::size_t refs = 0;
+    double rate = 0.0;
+    unsigned body_flops = 0;
+    std::uint64_t fingerprint = 0;
+    bool operator==(const Key&) const = default;
+  };
+
+  Key key;
+  bool valid = false;
+  std::vector<std::uint32_t> pos;  ///< ref positions j, scan order
+  /// iteration_scale of each position's iteration, so a replay needs no
+  /// scale table (sites with different body_flops alternate on a thread).
+  std::vector<double> scale;
+};
+
 /// One-shot checker for a single scheme execution: snapshot + input pass
 /// before the scheme runs, verdict after.
 class ReductionChecker {
@@ -111,9 +146,11 @@ class ReductionChecker {
   /// output array *before* the scheme runs. When `pool` is non-null and
   /// the pattern is large enough the input pass is sharded over the pool
   /// (the integer accumulation merges exactly, so the result is bitwise
-  /// identical to the serial pass).
+  /// identical to the serial pass). A serial pass reads and fills
+  /// `positions` (the checker's own cache when null).
   void begin(const ReductionInput& in, std::span<const double> out,
-             ThreadPool* pool = nullptr);
+             ThreadPool* pool = nullptr,
+             SampledPositions* positions = nullptr);
 
   /// Compare the post-execution output against the recomputed combines.
   [[nodiscard]] CheckReport verify(std::span<const double> out) const;
@@ -161,33 +198,20 @@ class ReductionChecker {
                    std::span<double> witness,
                    std::span<const double> scale) const;
   /// Full serial scan that also records the sampled reference positions
-  /// into fold_pos_/fold_iter_ (cache fill).
-  void fold_record(const ReductionInput& in, std::span<std::uint32_t> counts,
-                   std::span<__int128> qsum, std::span<std::uint64_t> qabs,
-                   std::span<double> witness, std::span<const double> scale);
+  /// into `cache` (cache fill).
+  void fold_record(const ReductionInput& in, SampledPositions& cache,
+                   std::span<std::uint32_t> counts, std::span<__int128> qsum,
+                   std::span<std::uint64_t> qabs, std::span<double> witness,
+                   std::span<const double> scale) const;
   /// Replay of a recorded position list (cache hit); bitwise identical to
   /// the full scan by construction.
-  void fold_replay(const ReductionInput& in, std::span<std::uint32_t> counts,
-                   std::span<__int128> qsum, std::span<std::uint64_t> qabs,
-                   std::span<double> witness,
-                   std::span<const double> scale) const;
-
-  /// Identity of an access pattern for the sampled-positions cache:
-  /// buffer addresses and sizes plus a content fingerprint over three
-  /// 64-index windows of the reference stream. A stale hit would need a
-  /// reallocation at the same addresses with the same sizes and matching
-  /// windows — the checker otherwise rescans, so mutated patterns only
-  /// cost the cache, never the verdict.
-  struct FoldKey {
-    const void* idx = nullptr;
-    const void* row_ptr = nullptr;
-    std::size_t dim = 0;
-    std::size_t iters = 0;
-    std::size_t refs = 0;
-    double rate = 0.0;
-    std::uint64_t fingerprint = 0;
-    bool operator==(const FoldKey&) const = default;
-  };
+  void fold_replay(const ReductionInput& in, const SampledPositions& cache,
+                   std::span<std::uint32_t> counts, std::span<__int128> qsum,
+                   std::span<std::uint64_t> qabs,
+                   std::span<double> witness) const;
+  /// The 1024-entry iteration_scale table for `body_flops` (rebuilt only
+  /// when body_flops changes).
+  std::span<const double> scale_table(unsigned body_flops);
 
   CheckerOptions opt_;
   CheckOp op_;
@@ -201,22 +225,11 @@ class ReductionChecker {
   std::unique_ptr<std::uint64_t[]> qabs_;   ///< sum: Σ|q|, saturating
   std::unique_ptr<double[]> witness_;       ///< min/max: extremal contribution
   std::size_t accum_cap_ = 0;  ///< allocated accumulator capacity (reused)
-  /// iteration_scale depends only on iter % 1024 and body_flops; the
-  /// table is rebuilt only when body_flops changes (the flops chain per
-  /// entry is expensive for device-model workloads).
+  /// scale_table()'s cache, valid for body_flops == scale_flops_.
   std::vector<double> scale_;
-  double scale_flops_ = -1.0;
-  /// Sampled-positions cache: on a serial fold over a pattern already
-  /// seen (same FoldKey), only the reference positions that hit sampled
-  /// blocks are replayed — O(rate·refs) instead of O(refs), which is
-  /// what makes steady-state checking cheap for a long-lived serving
-  /// site that submits the same pattern repeatedly. The accumulation
-  /// order equals the recording scan's order, so the resulting state is
-  /// bitwise identical to a full scan.
-  FoldKey fold_key_;
-  bool fold_cache_valid_ = false;
-  std::vector<std::uint32_t> fold_pos_;   ///< ref positions j, scan order
-  std::vector<std::uint32_t> fold_iter_;  ///< iteration index per position
+  unsigned scale_flops_ = 0;
+  /// Sampled-positions cache used when begin() is given none.
+  SampledPositions own_positions_;
   std::uint64_t checksum_ = 0;
   double begin_s_ = 0.0;
   bool begun_ = false;

@@ -1,6 +1,7 @@
 #include "core/adaptive.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/assert.hpp"
 #include "common/timer.hpp"
@@ -40,6 +41,7 @@ void AdaptiveReducer::reset_feedback(const PatternSignature& sig, bool warm) {
   monitor_.rebase(sig);
   overruns_ = 0;
   abandoned_.clear();
+  fastest_measured_s_ = std::numeric_limits<double>::infinity();
   warm_started_ = warm;
   phase_history_.clear();  // the history describes the previous decision
   if (!warm) invocations_base_ = 0;  // fresh evidence supersedes the cache
@@ -54,9 +56,12 @@ void AdaptiveReducer::record_phase_time(double seconds) {
 
 void AdaptiveReducer::characterize_and_decide(const AccessPattern& p) {
   stats_ = characterize(p, pool_.size());
-  decision_ = opt_.use_rule_decider
-                  ? decide_rules(stats_)
-                  : decide_model(stats_, p.body_flops, coeffs_);
+  if (opt_.use_rule_decider) {
+    decision_ = decide_rules(stats_);
+  } else {
+    decision_ = decide_model(stats_, p.body_flops, coeffs_);
+    add_sequential_venue(decision_, stats_, p.body_flops, coeffs_);
+  }
   // The rule decider can pick an inapplicable scheme only through a bug;
   // guard against selecting lw for an illegal loop either way.
   if (decision_.recommended == SchemeKind::kLocalWrite &&
@@ -74,7 +79,9 @@ void AdaptiveReducer::adopt(SchemeKind kind, const AccessPattern& p) {
 
 SchemeResult AdaptiveReducer::execute_arbitrated(const ReductionInput& in,
                                                  std::span<double> out) {
-  if (pool_mu_ == nullptr) return execute_current(in, out);
+  // A seq site runs on the caller thread: nothing to arbitrate.
+  if (pool_mu_ == nullptr || scheme_->kind() == SchemeKind::kSeq)
+    return execute_current(in, out);
   std::scoped_lock lk(*pool_mu_);
   return execute_current(in, out);
 }
@@ -92,9 +99,9 @@ SchemeResult AdaptiveReducer::execute_current(const ReductionInput& in,
   // decision — corruption there is the injector's third class.
   const FaultSite site = warm_started_ ? FaultSite::kRestoredDecision
                                        : FaultSite::kSchemeCombine;
-  SchemeResult r =
-      scheme_->execute_checked(plan_.get(), in, pool_, out, opt_.check,
-                               &last_check_, opt_.fault_injector, site);
+  SchemeResult r = scheme_->execute_checked(
+      plan_.get(), in, pool_, out, opt_.check, &last_check_,
+      opt_.fault_injector, site, CheckOp::kSum, &check_positions_);
   ++checks_run_;
   if (!last_check_.passed) {
     ++check_failures_;
@@ -177,6 +184,7 @@ SchemeResult AdaptiveReducer::invoke(const ReductionInput& in,
   }
 
   record_phase_time(r.total_s());
+  fastest_measured_s_ = std::min(fastest_measured_s_, r.total_s());
 
   // Time-drift demotion: the EWMA of measured times has moved away from
   // the baseline this decision was adopted under (or from the persisted
@@ -199,27 +207,21 @@ SchemeResult AdaptiveReducer::invoke(const ReductionInput& in,
       // The model was wrong about this scheme here: blacklist it and move
       // to the best not-yet-tried alternative (no ping-pong).
       abandoned_.push_back(scheme_->kind());
-      bool switched = false;
-      for (const auto& cp : decision_.predictions) {
-        const bool tried =
-            std::find(abandoned_.begin(), abandoned_.end(), cp.scheme) !=
-            abandoned_.end();
-        if (!tried && cp.applicable) {
-          adopt(cp.scheme, in.pattern);
-          ++switches_;
-          switched = true;
-          // The old scheme's time baseline (and history) say nothing
-          // about the new scheme.
-          monitor_.reset_time();
-          phase_history_.clear();
-          break;
-        }
+      if (const auto next = next_runner_up(decision_.predictions, abandoned_,
+                                           fastest_measured_s_)) {
+        adopt(*next, in.pattern);
+        ++switches_;
+        // The old scheme's time baseline (and history) say nothing
+        // about the new scheme.
+        monitor_.reset_time();
+        phase_history_.clear();
+      } else {
+        // No runner-up left — every alternative was abandoned, or this
+        // was a warm start whose cache carried only the one prediction.
+        // Fresh evidence beats a stale decision: re-characterize and
+        // re-decide (mispredict_patience throttles how often this fires).
+        characterize_and_decide(in.pattern);
       }
-      // No runner-up left — every alternative was abandoned, or this was
-      // a warm start whose cache carried only the one prediction. Fresh
-      // evidence beats a stale decision: re-characterize and re-decide
-      // (mispredict_patience throttles how often this can fire).
-      if (!switched) characterize_and_decide(in.pattern);
       overruns_ = 0;
     }
   } else {

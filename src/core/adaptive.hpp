@@ -4,7 +4,9 @@
 // One AdaptiveReducer manages one reduction loop site across its
 // invocations:
 //   * first invocation: characterize the pattern, decide a scheme (cost
-//     model or rule taxonomy), build its inspector plan, execute;
+//     model or rule taxonomy) — on the model path the sequential venue
+//     competes too, so a site too small to amortize a parallel region
+//     runs `seq` on the caller thread — build its inspector plan, execute;
 //   * later invocations: reuse scheme + plan while the pattern is stable;
 //   * drift (PhaseMonitor) — pattern-fingerprint accumulation *or* a
 //     sustained shift of the measured-time EWMA away from the baseline the
@@ -22,6 +24,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -86,7 +89,8 @@ class AdaptiveReducer {
   /// Serialize the shared-pool phases (Scheme::execute) on `mu` so
   /// reducers owned by one multi-site runtime can run their sequential
   /// phases (characterize, plan, monitor) concurrently while arbitrating
-  /// the one pool. nullptr (the default) means no arbitration.
+  /// the one pool. nullptr (the default) means no arbitration. A site
+  /// running `seq` never takes `mu`: it executes on the caller thread.
   void set_pool_arbiter(std::mutex* mu) { pool_mu_ = mu; }
 
   /// Scheme currently selected (valid after the first invoke).
@@ -160,6 +164,10 @@ class AdaptiveReducer {
   /// Schemes abandoned after sustained overruns since the last
   /// re-characterization (never returned to without new evidence).
   std::vector<SchemeKind> abandoned_;
+  /// Fastest invocation any scheme measured since the last
+  /// re-characterization: what `seq` must be predicted to beat before the
+  /// mispredict loop falls back to it.
+  double fastest_measured_s_ = std::numeric_limits<double>::infinity();
 
   unsigned invocations_ = 0;
   unsigned recharacterizations_ = 0;
@@ -174,6 +182,9 @@ class AdaptiveReducer {
   /// Pre-invocation output snapshot for rollback (reused across checked
   /// invocations to avoid an allocation per call).
   std::vector<double> check_before_;
+  /// This site's sampled-positions cache: the per-thread checker is shared
+  /// by every site a thread submits to, so its own cache would thrash.
+  SampledPositions check_positions_;
   /// Invocation evidence inherited from the cache entry on a warm start.
   std::uint64_t invocations_base_ = 0;
   /// Bounded ring of measured phase times (see phase_history()).

@@ -26,7 +26,7 @@ struct MachineCoeffs {
   double ns_merge = 1.8;     ///< per-element per-copy merge (read+add)
   double ns_atomic = 8.0;    ///< contended atomic read-modify-write
   double ns_hash = 4.0;      ///< hash probe+accumulate
-  double ns_flop = 0.7;      ///< one body multiply-add
+  double ns_flop = 0.7;      ///< one step of the body chain (iteration_scale)
   double ns_link = 0.8;      ///< ll first-touch link maintenance
   double ns_slot = 0.5;      ///< sel slot-map indirection per reference
   double ns_inspect = 2.0;   ///< inspector work per reference (lw/sel)

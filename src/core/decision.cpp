@@ -1,10 +1,26 @@
 #include "core/decision.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 #include "common/assert.hpp"
 
 namespace sapp {
+
+namespace {
+
+/// "cost model: <best> predicted X ms vs <runner-up> Y ms".
+std::string model_rationale(const std::vector<CostPrediction>& ranked) {
+  std::ostringstream os;
+  os << "cost model: " << to_string(ranked.front().scheme) << " predicted "
+     << ranked.front().total() * 1e3 << " ms";
+  if (ranked.size() > 1 && ranked[1].applicable)
+    os << " vs " << to_string(ranked[1].scheme) << " "
+       << ranked[1].total() * 1e3 << " ms";
+  return os.str();
+}
+
+}  // namespace
 
 Decision decide_model(const PatternStats& stats, unsigned body_flops,
                       const MachineCoeffs& mc) {
@@ -13,15 +29,37 @@ Decision decide_model(const PatternStats& stats, unsigned body_flops,
   SAPP_REQUIRE(!d.predictions.empty() && d.predictions.front().applicable,
                "no applicable scheme");
   d.recommended = d.predictions.front().scheme;
-
-  std::ostringstream os;
-  os << "cost model: " << to_string(d.recommended) << " predicted "
-     << d.predictions.front().total() * 1e3 << " ms";
-  if (d.predictions.size() > 1 && d.predictions[1].applicable)
-    os << " vs " << to_string(d.predictions[1].scheme) << " "
-       << d.predictions[1].total() * 1e3 << " ms";
-  d.rationale = os.str();
+  d.rationale = model_rationale(d.predictions);
   return d;
+}
+
+void add_sequential_venue(Decision& d, const PatternStats& stats,
+                          unsigned body_flops, const MachineCoeffs& mc) {
+  const CostPrediction seq =
+      predict_cost(SchemeKind::kSeq, stats, body_flops, mc);
+  auto& ranked = d.predictions;
+  // Ties stay with the parallel scheme already ranked there.
+  const auto at =
+      std::find_if(ranked.begin(), ranked.end(), [&](const auto& c) {
+        return !c.applicable || c.total() > seq.total();
+      });
+  ranked.insert(at, seq);
+  d.recommended = ranked.front().scheme;
+  d.rationale = model_rationale(ranked);
+}
+
+std::optional<SchemeKind> next_runner_up(
+    std::span<const CostPrediction> ranked,
+    std::span<const SchemeKind> abandoned, double measured_s) {
+  for (const CostPrediction& cp : ranked) {
+    if (!cp.applicable ||
+        std::find(abandoned.begin(), abandoned.end(), cp.scheme) !=
+            abandoned.end())
+      continue;
+    if (cp.scheme == SchemeKind::kSeq && cp.total() >= measured_s) continue;
+    return cp.scheme;
+  }
+  return std::nullopt;
 }
 
 Decision decide_rules(const PatternStats& s, const RuleThresholds& th) {

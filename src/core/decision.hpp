@@ -9,6 +9,8 @@
 //    (`sapp_repro ablation_decision`) and as documentation of the taxonomy.
 #pragma once
 
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -29,6 +31,27 @@ struct Decision {
 [[nodiscard]] Decision decide_model(const PatternStats& stats,
                                     unsigned body_flops,
                                     const MachineCoeffs& mc);
+
+/// Venue step of the adaptive runtime: rank the sequential execution
+/// (`kSeq`, which runs on the caller thread and never dispatches to the
+/// pool) into a cost-model decision's predictions, and recommend it when
+/// it is predicted cheapest. A site whose loop is too small to amortize a
+/// parallel region's dispatch then skips the pool altogether, and a
+/// parallel pick that overruns can still fall back to `seq` as a
+/// runner-up. `decide_model` itself ranks only the paper's five schemes.
+void add_sequential_venue(Decision& d, const PatternStats& stats,
+                          unsigned body_flops, const MachineCoeffs& mc);
+
+/// The mispredict loop's next scheme after the ones in `abandoned`: the
+/// best-ranked applicable prediction not yet abandoned. `seq` qualifies
+/// only when predicted to beat `measured_s`, the fastest time a tried
+/// scheme actually took: its model has no dispatch term to misjudge, so a
+/// site that fell back to it would rarely overrun again and would stay
+/// there even where a parallel scheme, mispriced as it was, ran faster.
+/// nullopt when no scheme qualifies.
+[[nodiscard]] std::optional<SchemeKind> next_runner_up(
+    std::span<const CostPrediction> ranked,
+    std::span<const SchemeKind> abandoned, double measured_s);
 
 /// Thresholds of the rule-based taxonomy. Defaults reproduce the paper's
 /// Fig. 3 recommendations under this repository's stat definitions.

@@ -22,7 +22,8 @@ SchemeResult Scheme::execute_checked(const SchemePlan* plan,
                                      const CheckerOptions& check,
                                      CheckReport* report,
                                      FaultInjector* injector, FaultSite site,
-                                     CheckOp op) const {
+                                     CheckOp op,
+                                     SampledPositions* positions) const {
   SAPP_REQUIRE(report != nullptr, "execute_checked needs a report sink");
   // One checker per thread, reused across invocations: its buffers are
   // sized by the largest dim seen, and reusing them avoids re-faulting
@@ -31,7 +32,8 @@ SchemeResult Scheme::execute_checked(const SchemePlan* plan,
   // options, so per-call rates/seeds/ops behave as if freshly constructed.
   static thread_local ReductionChecker checker{CheckerOptions{}};
   checker.configure(check, op);
-  checker.begin(in, out, &pool);
+  checker.begin(in, out, kind() == SchemeKind::kSeq ? nullptr : &pool,
+                positions);
   SchemeResult r = execute(plan, in, pool, out);
   if (injector != nullptr) injector->corrupt_one(site, out);
   *report = checker.verify(out);

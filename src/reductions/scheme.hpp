@@ -115,14 +115,18 @@ class Scheme {
   /// between execution and verification (the fault-injection proof).
   /// The verdict lands in `*report` (required); a failed check leaves
   /// `out` in its corrupted state — recovery policy belongs to the caller
-  /// (AdaptiveReducer rolls back and re-executes serially).
+  /// (AdaptiveReducer rolls back and re-executes serially). `positions`
+  /// is the caller's sampled-positions cache for this pattern (null: the
+  /// per-thread checker's own). `seq` runs the checker's input pass
+  /// serially too, so a `seq` execution never touches the pool.
   SchemeResult execute_checked(const SchemePlan* plan,
                                const ReductionInput& in, ThreadPool& pool,
                                std::span<double> out,
                                const CheckerOptions& check, CheckReport* report,
                                FaultInjector* injector = nullptr,
                                FaultSite site = FaultSite::kSchemeCombine,
-                               CheckOp op = CheckOp::kSum) const;
+                               CheckOp op = CheckOp::kSum,
+                               SampledPositions* positions = nullptr) const;
 };
 
 }  // namespace sapp

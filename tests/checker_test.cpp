@@ -21,6 +21,8 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "check/checker.hpp"
@@ -223,6 +225,51 @@ TEST(Checker, ChecksumBitwiseEqualAcrossThreadCountsAndCombineOrders) {
   }
 }
 
+TEST(Checker, SampledPositionsReplayIsBitwiseAFullScan) {
+  // Two patterns with different body_flops alternate on one checker, each
+  // with its own positions cache, the way serving sites alternate on a
+  // client thread. Every replay must reproduce a fresh checker's full
+  // scan bitwise and still catch a corrupted sampled element.
+  workloads::SynthParams p;
+  p.dim = 900;
+  p.distinct = 700;
+  p.iterations = 3000;
+  p.refs_per_iter = 2;
+  p.body_flops = 11;
+  p.seed = 77;
+  const ReductionInput a = detection_input();
+  const ReductionInput b = workloads::make_synthetic(p);
+  ASSERT_NE(a.pattern.body_flops, b.pattern.body_flops);
+  CheckerOptions co;
+  co.enabled = true;
+  co.sample_rate = 0.25;
+  ReductionChecker shared(co);
+  SampledPositions pos_a, pos_b;
+  const std::pair<const ReductionInput*, SampledPositions*> sites[] = {
+      {&a, &pos_a}, {&b, &pos_b}};
+  for (int round = 0; round < 3; ++round) {
+    for (const auto& [in, pos] : sites) {
+      SCOPED_TRACE("round " + std::to_string(round));
+      std::vector<double> out(in->pattern.dim, 0.5);
+      shared.begin(*in, out, nullptr, pos);
+      EXPECT_TRUE(pos->valid);
+      ReductionChecker fresh(co);
+      fresh.begin(*in, out, nullptr);
+      EXPECT_EQ(shared.input_checksum(), fresh.input_checksum());
+      run_sequential(*in, out);
+      const CheckReport got = shared.verify(out);
+      const CheckReport want = fresh.verify(out);
+      EXPECT_TRUE(got.passed);
+      EXPECT_EQ(got.contributions, want.contributions);
+      EXPECT_EQ(got.max_rel_excess, want.max_rel_excess);
+      std::size_t e = 0;
+      while (!ReductionChecker::slot_sampled(co.sample_rate, e)) ++e;
+      out[e] = corrupt_value(out[e]);
+      EXPECT_FALSE(shared.verify(out).passed);
+    }
+  }
+}
+
 // --- Edge cases and the fault-injector contract. -----------------------
 
 TEST(Checker, EmptyAndUnsampledInputsPass) {
@@ -271,39 +318,61 @@ TEST(FaultInjector, FiresExactlyOnceAndRecordsTheEvent) {
 // --- Wiring: rollback + demotion in the adaptive layer. ----------------
 
 TEST(Checker, AdaptiveReducerRollsBackAndDemotesOnDetectedCorruption) {
-  const ReductionInput in = detection_input();
-  std::vector<double> ref(in.pattern.dim, 0.0);
-  run_sequential(in, ref);
+  // Once on a site small enough that the model runs it sequentially on
+  // the caller thread, once on a site it runs in parallel: an injected
+  // corruption of either venue's output is caught, rolled back and
+  // demoted alike.
+  workloads::SynthParams big;
+  big.dim = 20000;
+  big.distinct = 20000;
+  big.iterations = 60000;
+  big.refs_per_iter = 2;
+  big.body_flops = 16;
+  big.seed = 525252;
+  const struct {
+    ReductionInput in;
+    bool seq;
+  } sites[] = {{detection_input(), true},
+                {workloads::make_synthetic(big), false}};
 
-  ThreadPool pool(4);
-  FaultInjector inj;
-  AdaptiveOptions opt;
-  opt.check.enabled = true;
-  opt.check.sample_rate = 1.0;
-  opt.fault_injector = &inj;
-  AdaptiveReducer red(pool, MachineCoeffs::defaults(), opt);
+  for (const auto& site : sites) {
+    SCOPED_TRACE(site.seq ? "seq site" : "parallel site");
+    const ReductionInput& in = site.in;
+    std::vector<double> ref(in.pattern.dim, 0.0);
+    run_sequential(in, ref);
 
-  std::vector<double> out(in.pattern.dim, 0.0);
-  (void)red.invoke(in, out);  // clean first invocation
-  EXPECT_EQ(red.check_failures(), 0u);
-  const unsigned rechar_before = red.recharacterizations();
+    ThreadPool pool(4);
+    FaultInjector inj;
+    AdaptiveOptions opt;
+    opt.check.enabled = true;
+    opt.check.sample_rate = 1.0;
+    opt.fault_injector = &inj;
+    AdaptiveReducer red(pool, MachineCoeffs::defaults(), opt);
 
-  inj.arm(FaultSite::kSchemeCombine, 1234, 1);
-  std::fill(out.begin(), out.end(), 0.0);
-  (void)red.invoke(in, out);
-  EXPECT_EQ(inj.injected(), 1u);
-  EXPECT_EQ(red.check_failures(), 1u);
-  // Recovery: the shipped output is the trusted serial result, bitwise.
-  for (std::size_t e = 0; e < ref.size(); ++e)
-    ASSERT_EQ(out[e], ref[e]) << "element " << e;
-  // Demotion: correctness evidence forced a re-characterization.
-  EXPECT_EQ(red.recharacterizations(), rechar_before + 1);
+    std::vector<double> out(in.pattern.dim, 0.0);
+    (void)red.invoke(in, out);  // clean first invocation
+    EXPECT_EQ(red.check_failures(), 0u);
+    EXPECT_EQ(red.current() == SchemeKind::kSeq, site.seq);
+    const unsigned rechar_before = red.recharacterizations();
 
-  // And the failure never recurs once the injector is spent.
-  std::fill(out.begin(), out.end(), 0.0);
-  (void)red.invoke(in, out);
-  EXPECT_EQ(red.check_failures(), 1u);
-  EXPECT_GE(red.checks_run(), 3u);
+    inj.arm(FaultSite::kSchemeCombine, 1234, 1);
+    std::fill(out.begin(), out.end(), 0.0);
+    (void)red.invoke(in, out);
+    EXPECT_EQ(inj.injected(), 1u);
+    EXPECT_EQ(red.check_failures(), 1u);
+    // Recovery: the shipped output is the trusted serial result, bitwise.
+    for (std::size_t e = 0; e < ref.size(); ++e)
+      ASSERT_EQ(out[e], ref[e]) << "element " << e;
+    // Demotion: correctness evidence forced a re-characterization.
+    EXPECT_EQ(red.recharacterizations(), rechar_before + 1);
+
+    // And the failure never recurs once the injector is spent.
+    std::fill(out.begin(), out.end(), 0.0);
+    (void)red.invoke(in, out);
+    EXPECT_EQ(red.check_failures(), 1u);
+    EXPECT_GE(red.checks_run(), 3u);
+    EXPECT_EQ(red.current() == SchemeKind::kSeq, site.seq);
+  }
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 // phase monitor and the AdaptiveReducer feedback loop.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
 #include "core/adaptive.hpp"
@@ -206,6 +207,64 @@ TEST(DecideModel, PicksArgminAndExplains) {
   EXPECT_FALSE(d.rationale.empty());
 }
 
+TEST(DecideModel, SequentialVenueRanksSeqAmongThePaperFive) {
+  const MachineCoeffs mc = MachineCoeffs::defaults();
+  const auto total = [](const CostPrediction& c) { return c.total(); };
+  // A large loop keeps its parallel pick; seq joins the ranking in order.
+  PatternStats big = stats_with(0.2, 0.05, 12.0, 0.3);
+  Decision d = decide_model(big, 4, mc);
+  const SchemeKind parallel_pick = d.recommended;
+  add_sequential_venue(d, big, 4, mc);
+  ASSERT_EQ(d.predictions.size(), 6u);
+  EXPECT_EQ(d.recommended, parallel_pick);
+  EXPECT_EQ(std::count_if(d.predictions.begin(), d.predictions.end(),
+                          [](const auto& c) {
+                            return c.scheme == SchemeKind::kSeq;
+                          }),
+            1);
+  EXPECT_TRUE(std::is_sorted(
+      d.predictions.begin(), d.predictions.end(),
+      [&](const auto& a, const auto& b) {
+        return a.applicable && (!b.applicable || total(a) < total(b));
+      }));
+  // A tiny loop cannot pay for one region dispatch: seq wins and says so.
+  PatternStats tiny = big;
+  tiny.dim = 512;
+  tiny.iterations = 300;
+  tiny.refs = 600;
+  tiny.distinct = 256;
+  tiny.touched_per_thread = 100;
+  d = decide_model(tiny, 4, mc);
+  add_sequential_venue(d, tiny, 4, mc);
+  EXPECT_EQ(d.recommended, SchemeKind::kSeq);
+  EXPECT_EQ(d.predictions.front().scheme, SchemeKind::kSeq);
+  EXPECT_EQ(d.rationale.rfind("cost model: seq predicted", 0), 0u);
+}
+
+TEST(DecideModel, SeqIsARunnerUpOnlyWhenItBeatsTheMeasuredTime) {
+  const auto pred = [](SchemeKind k, double s, bool applicable = true) {
+    CostPrediction c;
+    c.scheme = k;
+    c.loop_s = s;
+    c.applicable = applicable;
+    return c;
+  };
+  const std::vector<CostPrediction> ranked = {
+      pred(SchemeKind::kRep, 1e-3), pred(SchemeKind::kSeq, 3e-3),
+      pred(SchemeKind::kHash, 5e-3),
+      pred(SchemeKind::kLocalWrite, 0.0, /*applicable=*/false)};
+  const std::vector<SchemeKind> rep = {SchemeKind::kRep};
+  // rep overran; the fastest run so far took 10 ms: seq, predicted at
+  // 3 ms, would help.
+  EXPECT_EQ(next_runner_up(ranked, rep, 10e-3), SchemeKind::kSeq);
+  // The fastest run so far took 2.5 ms: seq cannot beat that, and the
+  // next parallel scheme is still tried.
+  EXPECT_EQ(next_runner_up(ranked, rep, 2.5e-3), SchemeKind::kHash);
+  const std::vector<SchemeKind> rep_hash = {SchemeKind::kRep,
+                                            SchemeKind::kHash};
+  EXPECT_EQ(next_runner_up(ranked, rep_hash, 2.5e-3), std::nullopt);
+}
+
 // ---------------- phase monitor ----------------
 
 TEST(PhaseMonitor, StablePatternNeverTriggers) {
@@ -318,6 +377,8 @@ TEST(AdaptiveReducer, MispredictionSwitchesScheme) {
   poisoned.ns_hash = 1e9;     // and that hash is absurdly expensive
   poisoned.ns_slot = 1e9;     // ... and so is sel's indirection
   poisoned.ns_update_far = poisoned.ns_update;
+  poisoned.fork_join_us = 0;  // ... and that dispatching a region is free,
+                              // so rep also beats the sequential venue
 
   const auto in = sparse_input();
   ThreadPool pool(2);

@@ -9,6 +9,7 @@
 // arbitration are race-checked, not just assumed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <barrier>
 #include <chrono>
@@ -202,6 +203,77 @@ TEST(RuntimeConcurrency, MixedDisjointAndSharedTraffic) {
   EXPECT_EQ(total, static_cast<unsigned>(kThreads * kInvocations));
   EXPECT_EQ(rt.site(inputs[0].pattern.loop_id).invocations(),
             static_cast<unsigned>(kThreads / 2 * kInvocations));
+}
+
+TEST(RuntimeConcurrency, SeqAndParallelSitesSubmitAtOnce) {
+  // Tiny sites settle on the sequential venue, which runs on the caller
+  // thread and never takes the pool arbiter; a large site settles on a
+  // parallel scheme, which does. Four submitters drive both kinds at
+  // once with every submit checked, so the arbiter-free path races the
+  // arbitrated one (this test exists to run under TSan).
+  constexpr int kThreads = 4;
+  constexpr int kInvocations = 4;
+  RuntimeOptions o = quiet_options();
+  // A 1-thread pool has no parallel venue worth dispatching to.
+  o.threads = std::max(2u, pool_threads());
+  o.adaptive.check.enabled = true;
+  o.adaptive.check.sample_rate = 0.05;
+  Runtime rt(o);
+
+  std::vector<ReductionInput> tiny;
+  std::vector<std::vector<double>> tiny_refs;
+  for (int t = 0; t < kThreads; ++t) {
+    tiny.push_back(site_input(t));
+    tiny_refs.emplace_back(tiny.back().pattern.dim, 0.0);
+    run_sequential(tiny.back(), tiny_refs.back());
+  }
+  workloads::SynthParams p;
+  p.dim = 20000;
+  p.distinct = 20000;
+  p.iterations = 40000;
+  p.refs_per_iter = 2;
+  p.body_flops = 16;
+  p.seed = 9100;
+  ReductionInput large = workloads::make_synthetic(p);
+  large.pattern.loop_id = "conc/large";
+  std::vector<double> large_ref(large.pattern.dim, 0.0);
+  run_sequential(large, large_ref);
+
+  std::barrier start(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const ReductionInput& in = tiny[static_cast<std::size_t>(t)];
+      const std::vector<double>& ref = tiny_refs[static_cast<std::size_t>(t)];
+      std::vector<double> out(in.pattern.dim);
+      std::vector<double> big_out(large.pattern.dim);
+      start.arrive_and_wait();
+      for (int k = 0; k < kInvocations; ++k) {
+        std::fill(out.begin(), out.end(), 0.0);
+        (void)rt.submit(in, out);
+        // seq is run_sequential itself: bitwise, not within a tolerance.
+        for (std::size_t e = 0; e < ref.size(); ++e)
+          ASSERT_EQ(out[e], ref[e]) << "tiny site element " << e;
+        std::fill(big_out.begin(), big_out.end(), 0.0);
+        (void)rt.submit(large, big_out);
+        expect_matches_reference(big_out, large_ref, "large");
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  const DecisionCache snap = rt.snapshot_decisions();
+  for (const ReductionInput& in : tiny) {
+    const CachedDecision* d = snap.find(in.pattern.loop_id);
+    ASSERT_NE(d, nullptr);
+    EXPECT_EQ(d->scheme, SchemeKind::kSeq) << in.pattern.loop_id;
+  }
+  const CachedDecision* d = snap.find(large.pattern.loop_id);
+  ASSERT_NE(d, nullptr);
+  EXPECT_NE(d->scheme, SchemeKind::kSeq);
+  EXPECT_EQ(rt.checks_run(),
+            static_cast<std::uint64_t>(2 * kThreads * kInvocations));
+  EXPECT_EQ(rt.check_failures(), 0u);
 }
 
 TEST(RuntimeConcurrency, ReportAndSnapshotRaceSubmitters) {
