@@ -79,9 +79,7 @@ void AdaptiveReducer::adopt(SchemeKind kind, const AccessPattern& p) {
 
 SchemeResult AdaptiveReducer::execute_arbitrated(const ReductionInput& in,
                                                  std::span<double> out) {
-  // A seq site runs on the caller thread: nothing to arbitrate.
-  if (pool_mu_ == nullptr || scheme_->kind() == SchemeKind::kSeq)
-    return execute_current(in, out);
+  if (pool_mu_ == nullptr || !on_pool()) return execute_current(in, out);
   std::scoped_lock lk(*pool_mu_);
   return execute_current(in, out);
 }
@@ -101,7 +99,8 @@ SchemeResult AdaptiveReducer::execute_current(const ReductionInput& in,
                                        : FaultSite::kSchemeCombine;
   SchemeResult r = scheme_->execute_checked(
       plan_.get(), in, pool_, out, opt_.check, &last_check_,
-      opt_.fault_injector, site, CheckOp::kSum, &check_positions_);
+      opt_.fault_injector, site, CheckOp::kSum, &check_positions_,
+      on_pool());
   ++checks_run_;
   if (!last_check_.passed) {
     ++check_failures_;

@@ -145,6 +145,11 @@ class AdaptiveReducer {
   void adopt(SchemeKind kind, const AccessPattern& p);
   void reset_feedback(const PatternSignature& sig, bool warm);
   void record_phase_time(double seconds);
+  /// False for a `seq` site: it runs on the caller thread, takes no pool
+  /// arbiter, and its checker pass runs serially too.
+  [[nodiscard]] bool on_pool() const {
+    return scheme_->kind() != SchemeKind::kSeq;
+  }
   SchemeResult execute_arbitrated(const ReductionInput& in,
                                   std::span<double> out);
   SchemeResult execute_current(const ReductionInput& in,

@@ -23,7 +23,8 @@ SchemeResult Scheme::execute_checked(const SchemePlan* plan,
                                      CheckReport* report,
                                      FaultInjector* injector, FaultSite site,
                                      CheckOp op,
-                                     SampledPositions* positions) const {
+                                     SampledPositions* positions,
+                                     bool check_on_pool) const {
   SAPP_REQUIRE(report != nullptr, "execute_checked needs a report sink");
   // One checker per thread, reused across invocations: its buffers are
   // sized by the largest dim seen, and reusing them avoids re-faulting
@@ -32,8 +33,7 @@ SchemeResult Scheme::execute_checked(const SchemePlan* plan,
   // options, so per-call rates/seeds/ops behave as if freshly constructed.
   static thread_local ReductionChecker checker{CheckerOptions{}};
   checker.configure(check, op);
-  checker.begin(in, out, kind() == SchemeKind::kSeq ? nullptr : &pool,
-                positions);
+  checker.begin(in, out, check_on_pool ? &pool : nullptr, positions);
   SchemeResult r = execute(plan, in, pool, out);
   if (injector != nullptr) injector->corrupt_one(site, out);
   *report = checker.verify(out);

@@ -117,8 +117,9 @@ class Scheme {
   /// `out` in its corrupted state — recovery policy belongs to the caller
   /// (AdaptiveReducer rolls back and re-executes serially). `positions`
   /// is the caller's sampled-positions cache for this pattern (null: the
-  /// per-thread checker's own). `seq` runs the checker's input pass
-  /// serially too, so a `seq` execution never touches the pool.
+  /// per-thread checker's own). `check_on_pool` false runs the checker's
+  /// input pass serially on the calling thread, for a caller whose
+  /// execution must not touch the pool.
   SchemeResult execute_checked(const SchemePlan* plan,
                                const ReductionInput& in, ThreadPool& pool,
                                std::span<double> out,
@@ -126,7 +127,8 @@ class Scheme {
                                FaultInjector* injector = nullptr,
                                FaultSite site = FaultSite::kSchemeCombine,
                                CheckOp op = CheckOp::kSum,
-                               SampledPositions* positions = nullptr) const;
+                               SampledPositions* positions = nullptr,
+                               bool check_on_pool = true) const;
 };
 
 }  // namespace sapp

@@ -5,8 +5,9 @@
 // site. Every submission must execute exactly once (invocation counters
 // add up and every output equals the sequential reference), and the whole
 // suite runs in the TSan CI job (see .github/workflows/ci.yml), so the
-// striped site table, the per-site serialization and the shared-pool
-// arbitration are race-checked, not just assumed.
+// striped site table, the per-site serialization, the shared-pool
+// arbitration and the sequential venue that bypasses it are race-checked,
+// not just assumed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -47,6 +48,11 @@ RuntimeOptions quiet_options() {
   // so park the feedback loop — the time-drift detector included.
   o.adaptive.mispredict_patience = 1 << 30;
   o.adaptive.monitor.time_drift_patience = 1 << 30;
+  // The rule taxonomy picks only among the paper's five parallel schemes,
+  // so every site here runs on the pool and contends the shared-pool
+  // arbiter; the cost model would settle these small sites on `seq`,
+  // which never takes it. SeqAndParallelSitesSubmitAtOnce covers `seq`.
+  o.adaptive.use_rule_decider = true;
   return o;
 }
 
@@ -107,6 +113,7 @@ TEST(RuntimeConcurrency, DisjointSitesSubmitInParallel) {
     // Exactly once per submission: no lost or duplicated invocations.
     EXPECT_EQ(r.invocations(), static_cast<unsigned>(kInvocations));
     EXPECT_EQ(r.recharacterizations(), 1u);  // the pattern never drifts
+    EXPECT_NE(r.current(), SchemeKind::kSeq);  // arbitrated, not seq
   }
 }
 
@@ -206,14 +213,17 @@ TEST(RuntimeConcurrency, MixedDisjointAndSharedTraffic) {
 }
 
 TEST(RuntimeConcurrency, SeqAndParallelSitesSubmitAtOnce) {
-  // Tiny sites settle on the sequential venue, which runs on the caller
-  // thread and never takes the pool arbiter; a large site settles on a
-  // parallel scheme, which does. Four submitters drive both kinds at
-  // once with every submit checked, so the arbiter-free path races the
-  // arbitrated one (this test exists to run under TSan).
+  // Under the cost model, tiny sites settle on the sequential venue, which
+  // runs on the caller thread and never takes the pool arbiter, and two
+  // large sites settle on a parallel scheme, which does. Four submitters
+  // each drive one tiny site and one of the two large sites, with every
+  // submit checked, so the arbiter-free path races the arbitrated one and
+  // the two large sites contend the arbiter (this test exists to run
+  // under TSan).
   constexpr int kThreads = 4;
   constexpr int kInvocations = 4;
   RuntimeOptions o = quiet_options();
+  o.adaptive.use_rule_decider = false;
   // A 1-thread pool has no parallel venue worth dispatching to.
   o.threads = std::max(2u, pool_threads());
   o.adaptive.check.enabled = true;
@@ -227,17 +237,21 @@ TEST(RuntimeConcurrency, SeqAndParallelSitesSubmitAtOnce) {
     tiny_refs.emplace_back(tiny.back().pattern.dim, 0.0);
     run_sequential(tiny.back(), tiny_refs.back());
   }
-  workloads::SynthParams p;
-  p.dim = 20000;
-  p.distinct = 20000;
-  p.iterations = 40000;
-  p.refs_per_iter = 2;
-  p.body_flops = 16;
-  p.seed = 9100;
-  ReductionInput large = workloads::make_synthetic(p);
-  large.pattern.loop_id = "conc/large";
-  std::vector<double> large_ref(large.pattern.dim, 0.0);
-  run_sequential(large, large_ref);
+  std::vector<ReductionInput> large;
+  std::vector<std::vector<double>> large_refs;
+  for (int l = 0; l < 2; ++l) {
+    workloads::SynthParams p;
+    p.dim = 20000;
+    p.distinct = 20000;
+    p.iterations = 40000;
+    p.refs_per_iter = 2;
+    p.body_flops = 16;
+    p.seed = 9100 + static_cast<std::uint64_t>(l);
+    large.push_back(workloads::make_synthetic(p));
+    large.back().pattern.loop_id = "conc/large" + std::to_string(l);
+    large_refs.emplace_back(p.dim, 0.0);
+    run_sequential(large.back(), large_refs.back());
+  }
 
   std::barrier start(kThreads);
   std::vector<std::thread> threads;
@@ -245,8 +259,12 @@ TEST(RuntimeConcurrency, SeqAndParallelSitesSubmitAtOnce) {
     threads.emplace_back([&, t] {
       const ReductionInput& in = tiny[static_cast<std::size_t>(t)];
       const std::vector<double>& ref = tiny_refs[static_cast<std::size_t>(t)];
+      // Threads 0 and 2 share large site 0, threads 1 and 3 large site 1.
+      const ReductionInput& big = large[static_cast<std::size_t>(t % 2)];
+      const std::vector<double>& big_ref =
+          large_refs[static_cast<std::size_t>(t % 2)];
       std::vector<double> out(in.pattern.dim);
-      std::vector<double> big_out(large.pattern.dim);
+      std::vector<double> big_out(big.pattern.dim);
       start.arrive_and_wait();
       for (int k = 0; k < kInvocations; ++k) {
         std::fill(out.begin(), out.end(), 0.0);
@@ -255,22 +273,19 @@ TEST(RuntimeConcurrency, SeqAndParallelSitesSubmitAtOnce) {
         for (std::size_t e = 0; e < ref.size(); ++e)
           ASSERT_EQ(out[e], ref[e]) << "tiny site element " << e;
         std::fill(big_out.begin(), big_out.end(), 0.0);
-        (void)rt.submit(large, big_out);
-        expect_matches_reference(big_out, large_ref, "large");
+        (void)rt.submit(big, big_out);
+        expect_matches_reference(big_out, big_ref, "large");
       }
     });
   }
   for (auto& th : threads) th.join();
 
-  const DecisionCache snap = rt.snapshot_decisions();
-  for (const ReductionInput& in : tiny) {
-    const CachedDecision* d = snap.find(in.pattern.loop_id);
-    ASSERT_NE(d, nullptr);
-    EXPECT_EQ(d->scheme, SchemeKind::kSeq) << in.pattern.loop_id;
-  }
-  const CachedDecision* d = snap.find(large.pattern.loop_id);
-  ASSERT_NE(d, nullptr);
-  EXPECT_NE(d->scheme, SchemeKind::kSeq);
+  for (const ReductionInput& in : tiny)
+    EXPECT_EQ(rt.site(in.pattern.loop_id).current(), SchemeKind::kSeq)
+        << in.pattern.loop_id;
+  for (const ReductionInput& in : large)
+    EXPECT_NE(rt.site(in.pattern.loop_id).current(), SchemeKind::kSeq)
+        << in.pattern.loop_id;
   EXPECT_EQ(rt.checks_run(),
             static_cast<std::uint64_t>(2 * kThreads * kInvocations));
   EXPECT_EQ(rt.check_failures(), 0u);
