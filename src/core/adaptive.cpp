@@ -204,22 +204,28 @@ SchemeResult AdaptiveReducer::invoke(const ReductionInput& in,
   if (predicted > 0.0 && r.total_s() > kMispredictRatio * predicted) {
     if (++overruns_ >= opt_.mispredict_patience) {
       // The model was wrong about this scheme here: blacklist it and move
-      // to the best not-yet-tried alternative (no ping-pong).
-      abandoned_.push_back(scheme_->kind());
-      if (const auto next = next_runner_up(decision_.predictions, abandoned_,
-                                           fastest_measured_s_)) {
+      // to the best not-yet-tried alternative (no ping-pong). The loop
+      // trusts a prediction only to within kMispredictRatio, so the
+      // alternative must beat the fastest time measured here even if it
+      // overran its own prediction that much; otherwise the scheme stays.
+      const SchemeKind cur = scheme_->kind();
+      const auto next =
+          next_runner_up(decision_.predictions, abandoned_, cur,
+                         fastest_measured_s_ / kMispredictRatio);
+      if (!next) {
+        // No runner-up left — every alternative was abandoned, or this
+        // was a warm start whose cache carried only the one prediction.
+        // Fresh evidence beats a stale decision: re-characterize and
+        // re-decide (mispredict_patience throttles how often this fires).
+        characterize_and_decide(in.pattern);
+      } else if (*next != cur) {
+        abandoned_.push_back(cur);
         adopt(*next, in.pattern);
         ++switches_;
         // The old scheme's time baseline (and history) say nothing
         // about the new scheme.
         monitor_.reset_time();
         phase_history_.clear();
-      } else {
-        // No runner-up left — every alternative was abandoned, or this
-        // was a warm start whose cache carried only the one prediction.
-        // Fresh evidence beats a stale decision: re-characterize and
-        // re-decide (mispredict_patience throttles how often this fires).
-        characterize_and_decide(in.pattern);
       }
       overruns_ = 0;
     }

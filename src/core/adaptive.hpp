@@ -170,8 +170,8 @@ class AdaptiveReducer {
   /// re-characterization (never returned to without new evidence).
   std::vector<SchemeKind> abandoned_;
   /// Fastest invocation any scheme measured since the last
-  /// re-characterization: what `seq` must be predicted to beat before the
-  /// mispredict loop falls back to it.
+  /// re-characterization: what a runner-up must be predicted to beat, by
+  /// kMispredictRatio, before the mispredict loop switches to it.
   double fastest_measured_s_ = std::numeric_limits<double>::infinity();
 
   unsigned invocations_ = 0;

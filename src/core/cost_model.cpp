@@ -6,6 +6,7 @@
 #include <limits>
 #include <vector>
 
+#include "common/stats.hpp"
 #include "common/thread_pool.hpp"
 #include "common/timer.hpp"
 #include "reductions/kernels.hpp"
@@ -94,11 +95,27 @@ MachineCoeffs MachineCoeffs::calibrate(ThreadPool& pool) {
   mc.ns_inspect = mc.ns_update * 1.6;
   mc.ns_alloc = mc.ns_init * 1.2;
 
-  // Fork-join dispatch: one empty parallel region.
-  Timer t;
-  constexpr int kReps = 50;
-  for (int r = 0; r < kReps; ++r) pool.run([](unsigned) {});
-  mc.fork_join_us = t.seconds() * 1e6 / kReps;
+  // Fork-join dispatch, per phase. A parallel invocation runs its phases
+  // as back-to-back regions: the first finds the helpers parked whenever
+  // the pool sat idle for longer than their spin (sites taking turns with
+  // sequential work in between), the others catch them still spinning.
+  // Price a phase as the mean of one parked and two spinning dispatches,
+  // each a median over empty regions, so neither a preempted region nor
+  // the slow first regions of a fresh pool move the coefficient.
+  const auto region_us = [&pool] {
+    Timer t;
+    pool.run([](unsigned) {});
+    return t.seconds() * 1e6;
+  };
+  std::vector<double> spinning(25), parked(9);
+  for (double& us : spinning) us = region_us();
+  for (double& us : parked) {
+    // Idle for several times a helper's spin, so every helper parks.
+    for (Timer idle; idle.seconds() < 200e-6;) {
+    }
+    us = region_us();
+  }
+  mc.fork_join_us = (median(parked) + 2.0 * median(spinning)) / 3.0;
   return mc;
 }
 

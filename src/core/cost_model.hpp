@@ -31,7 +31,8 @@ struct MachineCoeffs {
   double ns_slot = 0.5;      ///< sel slot-map indirection per reference
   double ns_inspect = 2.0;   ///< inspector work per reference (lw/sel)
   double ns_alloc = 0.4;     ///< private-storage allocation per element
-  double fork_join_us = 15;  ///< per parallel phase dispatch overhead
+  double fork_join_us = 15;  ///< per parallel phase dispatch overhead (one
+                             ///< parked + two spinning regions, averaged)
   /// Merge-kernel streaming bandwidth (GB/s moved: read acc + read src +
   /// write acc per element) as measured on the active backend. Metadata
   /// for results; ns_init/ns_merge already embed it.

@@ -50,14 +50,16 @@ void add_sequential_venue(Decision& d, const PatternStats& stats,
 
 std::optional<SchemeKind> next_runner_up(
     std::span<const CostPrediction> ranked,
-    std::span<const SchemeKind> abandoned, double measured_s) {
+    std::span<const SchemeKind> abandoned, SchemeKind current,
+    double beat_s) {
   for (const CostPrediction& cp : ranked) {
-    if (!cp.applicable ||
+    if (!cp.applicable || cp.scheme == current ||
         std::find(abandoned.begin(), abandoned.end(), cp.scheme) !=
             abandoned.end())
       continue;
-    if (cp.scheme == SchemeKind::kSeq && cp.total() >= measured_s) continue;
-    return cp.scheme;
+    // Ranked cheapest first: if the best untried scheme cannot beat
+    // beat_s, none can.
+    return cp.total() < beat_s ? cp.scheme : current;
   }
   return std::nullopt;
 }

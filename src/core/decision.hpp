@@ -42,16 +42,16 @@ struct Decision {
 void add_sequential_venue(Decision& d, const PatternStats& stats,
                           unsigned body_flops, const MachineCoeffs& mc);
 
-/// The mispredict loop's next scheme after the ones in `abandoned`: the
-/// best-ranked applicable prediction not yet abandoned. `seq` qualifies
-/// only when predicted to beat `measured_s`, the fastest time a tried
-/// scheme actually took: its model has no dispatch term to misjudge, so a
-/// site that fell back to it would rarely overrun again and would stay
-/// there even where a parallel scheme, mispriced as it was, ran faster.
-/// nullopt when no scheme qualifies.
+/// The mispredict loop's move when `current` keeps overrunning its
+/// prediction: the best-ranked applicable scheme that is neither `current`
+/// nor in `abandoned`, if it is predicted to take less than `beat_s`.
+/// `current` when it is not: the model offers nothing faster than what
+/// the site already ran, so a switch would only trade a scheme whose time
+/// is known for a worse guess. nullopt when no untried scheme is left.
 [[nodiscard]] std::optional<SchemeKind> next_runner_up(
     std::span<const CostPrediction> ranked,
-    std::span<const SchemeKind> abandoned, double measured_s);
+    std::span<const SchemeKind> abandoned, SchemeKind current,
+    double beat_s);
 
 /// Thresholds of the rule-based taxonomy. Defaults reproduce the paper's
 /// Fig. 3 recommendations under this repository's stat definitions.

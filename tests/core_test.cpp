@@ -241,7 +241,7 @@ TEST(DecideModel, SequentialVenueRanksSeqAmongThePaperFive) {
   EXPECT_EQ(d.rationale.rfind("cost model: seq predicted", 0), 0u);
 }
 
-TEST(DecideModel, SeqIsARunnerUpOnlyWhenItBeatsTheMeasuredTime) {
+TEST(DecideModel, RunnerUpMustBeatTheMeasuredTime) {
   const auto pred = [](SchemeKind k, double s, bool applicable = true) {
     CostPrediction c;
     c.scheme = k;
@@ -253,16 +253,20 @@ TEST(DecideModel, SeqIsARunnerUpOnlyWhenItBeatsTheMeasuredTime) {
       pred(SchemeKind::kRep, 1e-3), pred(SchemeKind::kSeq, 3e-3),
       pred(SchemeKind::kHash, 5e-3),
       pred(SchemeKind::kLocalWrite, 0.0, /*applicable=*/false)};
-  const std::vector<SchemeKind> rep = {SchemeKind::kRep};
-  // rep overran; the fastest run so far took 10 ms: seq, predicted at
-  // 3 ms, would help.
-  EXPECT_EQ(next_runner_up(ranked, rep, 10e-3), SchemeKind::kSeq);
-  // The fastest run so far took 2.5 ms: seq cannot beat that, and the
-  // next parallel scheme is still tried.
-  EXPECT_EQ(next_runner_up(ranked, rep, 2.5e-3), SchemeKind::kHash);
-  const std::vector<SchemeKind> rep_hash = {SchemeKind::kRep,
+  const std::vector<SchemeKind> none;
+  constexpr SchemeKind kRep = SchemeKind::kRep;
+  // rep overran and a runner-up must beat 10 ms: seq, predicted at 3 ms,
+  // does.
+  EXPECT_EQ(next_runner_up(ranked, none, kRep, 10e-3), SchemeKind::kSeq);
+  // It must beat 2.5 ms: no untried scheme is predicted to, so rep stays.
+  EXPECT_EQ(next_runner_up(ranked, none, kRep, 2.5e-3), kRep);
+  // seq was tried and abandoned: hash, predicted at 5 ms, beats 10 ms.
+  const std::vector<SchemeKind> seq = {SchemeKind::kSeq};
+  EXPECT_EQ(next_runner_up(ranked, seq, kRep, 10e-3), SchemeKind::kHash);
+  // Nothing untried and applicable is left.
+  const std::vector<SchemeKind> seq_hash = {SchemeKind::kSeq,
                                             SchemeKind::kHash};
-  EXPECT_EQ(next_runner_up(ranked, rep_hash, 2.5e-3), std::nullopt);
+  EXPECT_EQ(next_runner_up(ranked, seq_hash, kRep, 10e-3), std::nullopt);
 }
 
 // ---------------- phase monitor ----------------
