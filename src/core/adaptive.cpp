@@ -42,6 +42,7 @@ void AdaptiveReducer::reset_feedback(const PatternSignature& sig, bool warm) {
   overruns_ = 0;
   abandoned_.clear();
   fastest_measured_s_ = std::numeric_limits<double>::infinity();
+  fastest_scheme_ = scheme_->kind();
   warm_started_ = warm;
   phase_history_.clear();  // the history describes the previous decision
   if (!warm) invocations_base_ = 0;  // fresh evidence supersedes the cache
@@ -73,6 +74,9 @@ void AdaptiveReducer::characterize_and_decide(const AccessPattern& p) {
 }
 
 void AdaptiveReducer::adopt(SchemeKind kind, const AccessPattern& p) {
+  // Free the old plan first: a rep plan holds a private copy of the
+  // output per thread, and two live at once would set the peak RSS.
+  plan_.reset();
   scheme_ = make_scheme(kind);
   plan_ = scheme_->plan(p, pool_.size());
 }
@@ -183,7 +187,10 @@ SchemeResult AdaptiveReducer::invoke(const ReductionInput& in,
   }
 
   record_phase_time(r.total_s());
-  fastest_measured_s_ = std::min(fastest_measured_s_, r.total_s());
+  if (r.total_s() < fastest_measured_s_) {
+    fastest_measured_s_ = r.total_s();
+    fastest_scheme_ = scheme_->kind();
+  }
 
   // Time-drift demotion: the EWMA of measured times has moved away from
   // the baseline this decision was adopted under (or from the persisted
@@ -207,20 +214,22 @@ SchemeResult AdaptiveReducer::invoke(const ReductionInput& in,
       // to the best not-yet-tried alternative (no ping-pong). The loop
       // trusts a prediction only to within kMispredictRatio, so the
       // alternative must beat the fastest time measured here even if it
-      // overran its own prediction that much; otherwise the scheme stays.
+      // overran its own prediction that much. With none, settle on the
+      // fastest scheme measured since the site decided.
       const SchemeKind cur = scheme_->kind();
       const auto next =
           next_runner_up(decision_.predictions, abandoned_, cur,
                          fastest_measured_s_ / kMispredictRatio);
-      if (!next) {
-        // No runner-up left — every alternative was abandoned, or this
-        // was a warm start whose cache carried only the one prediction.
-        // Fresh evidence beats a stale decision: re-characterize and
-        // re-decide (mispredict_patience throttles how often this fires).
+      const SchemeKind to = next && *next != cur ? *next : fastest_scheme_;
+      if (!next && warm_started_) {
+        // A warm start's cache carried only the one prediction, so no
+        // alternative was ever ranked. Fresh evidence beats a stale
+        // decision: re-characterize and re-decide (mispredict_patience
+        // throttles how often this fires).
         characterize_and_decide(in.pattern);
-      } else if (*next != cur) {
+      } else if (to != cur) {
         abandoned_.push_back(cur);
-        adopt(*next, in.pattern);
+        adopt(to, in.pattern);
         ++switches_;
         // The old scheme's time baseline (and history) say nothing
         // about the new scheme.

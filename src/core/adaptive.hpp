@@ -170,9 +170,12 @@ class AdaptiveReducer {
   /// re-characterization (never returned to without new evidence).
   std::vector<SchemeKind> abandoned_;
   /// Fastest invocation any scheme measured since the last
-  /// re-characterization: what a runner-up must be predicted to beat, by
-  /// kMispredictRatio, before the mispredict loop switches to it.
+  /// re-characterization, and the scheme that ran it: a runner-up must be
+  /// predicted to beat it, by kMispredictRatio, before the mispredict loop
+  /// switches to it, and the loop settles back on that scheme when no
+  /// runner-up can.
   double fastest_measured_s_ = std::numeric_limits<double>::infinity();
+  SchemeKind fastest_scheme_ = SchemeKind::kSeq;
 
   unsigned invocations_ = 0;
   unsigned recharacterizations_ = 0;
