@@ -72,16 +72,27 @@ inline std::uint64_t sat_add_u64(std::uint64_t a, std::uint64_t b) {
 /// Content fingerprint over three 64-index windows of the reference
 /// stream, part of the sampled-positions cache key: a stale cache hit
 /// would need a pattern reallocated at the same addresses, with the same
-/// sizes, matching all three windows.
+/// sizes, matching all three windows. Every index enters a polynomial
+/// hash (one multiply-add), spread over eight independent lanes so the
+/// multiplies overlap instead of forming one 192-step dependency chain;
+/// one final mix folds the lanes.
 std::uint64_t pattern_fingerprint(const ReductionInput& in) {
+  constexpr std::uint64_t kMul = 0x9E3779B97F4A7C15ull;
+  constexpr std::size_t kLanes = 8;
   const auto& idx = in.pattern.refs.indices();
   const std::size_t n = idx.size();
-  std::uint64_t h = 0x9E3779B97F4A7C15ull * (n + 1);
+  std::uint64_t lane[kLanes];
+  for (std::size_t l = 0; l < kLanes; ++l) lane[l] = kMul * (n + 1 + l);
   const std::size_t starts[3] = {0, n / 2, n > 64 ? n - 64 : 0};
-  for (const std::size_t s : starts)
-    for (std::size_t k = s; k < std::min(n, s + 64); ++k)
-      h = mix64(h ^ (h << 1) ^ idx[k]);
-  return h;
+  for (const std::size_t s : starts) {
+    const std::size_t end = std::min(n, s + 64);
+    for (std::size_t k = s; k < end; k += kLanes)
+      for (std::size_t l = 0; l < kLanes && k + l < end; ++l)
+        lane[l] = (lane[l] + idx[k + l]) * kMul;
+  }
+  std::uint64_t h = 0;
+  for (const std::uint64_t v : lane) h = (h + v) * kMul;
+  return mix64(h);
 }
 
 }  // namespace
@@ -148,11 +159,12 @@ void ReductionChecker::fold_serial(const ReductionInput& in,
   const double* vals = in.values.data();
   const auto& ptr = refs.row_ptr();
   const std::uint32_t* idx = refs.indices().data();
+  const std::uint32_t* block_base = sel_->block_base.data();
   for (std::size_t i = iter_begin; i < iter_end; ++i) {
     const double s = scale[i & 1023];
     for (std::uint64_t j = ptr[i]; j < ptr[i + 1]; ++j) {
       const std::uint32_t e = idx[j];
-      const std::uint32_t base = block_base_[e >> kBlockShift];
+      const std::uint32_t base = block_base[e >> kBlockShift];
       if (base == kUnsampled) continue;
       const std::uint32_t slot =
           base + (e & static_cast<std::uint32_t>(kBlock - 1));
@@ -168,23 +180,22 @@ void ReductionChecker::fold_record(const ReductionInput& in,
                                    std::span<std::uint64_t> qabs,
                                    std::span<double> witness,
                                    std::span<const double> scale) const {
-  cache.pos.clear();
-  cache.scale.clear();
+  cache.refs.clear();
   const auto& refs = in.pattern.refs;
   const double* vals = in.values.data();
   const auto& ptr = refs.row_ptr();
   const std::uint32_t* idx = refs.indices().data();
+  const std::uint32_t* block_base = cache.block_base.data();
   const std::size_t iters = in.pattern.iterations();
   for (std::size_t i = 0; i < iters; ++i) {
     const double s = scale[i & 1023];
     for (std::uint64_t j = ptr[i]; j < ptr[i + 1]; ++j) {
       const std::uint32_t e = idx[j];
-      const std::uint32_t base = block_base_[e >> kBlockShift];
+      const std::uint32_t base = block_base[e >> kBlockShift];
       if (base == kUnsampled) continue;
-      cache.pos.push_back(static_cast<std::uint32_t>(j));
-      cache.scale.push_back(s);
       const std::uint32_t slot =
           base + (e & static_cast<std::uint32_t>(kBlock - 1));
+      cache.refs.push_back({static_cast<std::uint32_t>(j), slot, s});
       accumulate_slot(op_, slot, vals[j] * s, counts, qsum, qabs, witness);
     }
   }
@@ -197,15 +208,9 @@ void ReductionChecker::fold_replay(const ReductionInput& in,
                                    std::span<std::uint64_t> qabs,
                                    std::span<double> witness) const {
   const double* vals = in.values.data();
-  const std::uint32_t* idx = in.pattern.refs.indices().data();
-  for (std::size_t k = 0; k < cache.pos.size(); ++k) {
-    const std::uint32_t j = cache.pos[k];
-    const std::uint32_t e = idx[j];
-    const std::uint32_t slot = block_base_[e >> kBlockShift] +
-                               (e & static_cast<std::uint32_t>(kBlock - 1));
-    const double c = vals[j] * cache.scale[k];
-    accumulate_slot(op_, slot, c, counts, qsum, qabs, witness);
-  }
+  for (const SampledPositions::Ref& r : cache.refs)
+    accumulate_slot(op_, r.slot, vals[r.pos] * r.scale, counts, qsum, qabs,
+                    witness);
 }
 
 std::span<const double> ReductionChecker::scale_table(unsigned body_flops) {
@@ -223,6 +228,35 @@ std::span<const double> ReductionChecker::scale_table(unsigned body_flops) {
   return scale_;
 }
 
+void ReductionChecker::select_blocks(SampledPositions& sel, std::size_t dim,
+                                     double rate) {
+  if (sel.sel_valid && sel.sel_dim == dim && sel.sel_rate == rate) return;
+  // One hash decides a whole 16-element block, so this pass is O(dim/16)
+  // plus O(sampled).
+  const std::size_t nblocks = (dim + kBlock - 1) >> kBlockShift;
+  sel.block_base.assign(nblocks, kUnsampled);
+  sel.elements.clear();
+  const bool all = rate >= 1.0;
+  const bool none = !all && rate <= 0.0;
+  const std::uint64_t threshold = all || none ? 0 : sample_threshold(rate);
+  sel.elements.reserve(
+      all ? dim
+          : static_cast<std::size_t>(static_cast<double>(dim) *
+                                     std::min(1.0, rate * 1.2)) +
+                kBlock);
+  for (std::size_t b = 0; b < nblocks && !none; ++b) {
+    if (!all && element_hash(kSampleSeed, b) >= threshold) continue;
+    sel.block_base[b] = static_cast<std::uint32_t>(sel.elements.size());
+    const std::size_t e0 = b << kBlockShift;
+    const std::size_t e1 = std::min(dim, e0 + kBlock);
+    for (std::size_t e = e0; e < e1; ++e)
+      sel.elements.push_back(static_cast<std::uint32_t>(e));
+  }
+  sel.sel_dim = dim;
+  sel.sel_rate = rate;
+  sel.sel_valid = true;
+}
+
 void ReductionChecker::begin(const ReductionInput& in,
                              std::span<const double> out, ThreadPool* pool,
                              SampledPositions* positions) {
@@ -231,34 +265,18 @@ void ReductionChecker::begin(const ReductionInput& in,
   Timer t;
   begun_ = true;
   const std::size_t dim = in.pattern.dim;
-
-  // --- Select the sampled blocks and snapshot their pre-execution state.
-  // One hash decides a whole 16-element block, so this pass is O(dim/16)
-  // plus O(sampled) for the snapshot — the unsampled majority of the
-  // output array is never touched.
-  const std::size_t nblocks = (dim + kBlock - 1) >> kBlockShift;
-  block_base_.assign(nblocks, kUnsampled);
-  elements_.clear();
-  before_.clear();
   const double rate = opt_.sample_rate;
-  const bool all = rate >= 1.0;
-  const bool none = !all && rate <= 0.0;
-  const std::uint64_t threshold = all || none ? 0 : sample_threshold(rate);
-  elements_.reserve(
-      all ? dim
-          : static_cast<std::size_t>(static_cast<double>(dim) *
-                                     std::min(1.0, rate * 1.2)) +
-                kBlock);
-  for (std::size_t b = 0; b < nblocks && !none; ++b) {
-    if (!all && element_hash(kSampleSeed, b) >= threshold) continue;
-    block_base_[b] = static_cast<std::uint32_t>(elements_.size());
-    const std::size_t e0 = b << kBlockShift;
-    const std::size_t e1 = std::min(dim, e0 + kBlock);
-    before_.insert(before_.end(), out.begin() + e0, out.begin() + e1);
-    for (std::size_t e = e0; e < e1; ++e)
-      elements_.push_back(static_cast<std::uint32_t>(e));
-  }
-  const std::size_t n = elements_.size();
+
+  // --- Block selection (cached per site) and the pre-execution snapshot
+  // of the sampled elements: O(rate·dim) in the steady state — the
+  // unsampled majority of the output array is never touched.
+  SampledPositions& cache = positions != nullptr ? *positions : own_positions_;
+  select_blocks(cache, dim, rate);
+  sel_ = &cache;
+  const std::vector<std::uint32_t>& elements = cache.elements;
+  const std::size_t n = elements.size();
+  before_.resize(n);
+  for (std::size_t s = 0; s < n; ++s) before_[s] = out[elements[s]];
   counts_.assign(n, 0);
   if (n > accum_cap_) {
     // Allocated for overwrite: slots are first-touch initialized in the
@@ -276,22 +294,23 @@ void ReductionChecker::begin(const ReductionInput& in,
   const std::span<__int128> qsum(qsum_.get(), n);
   const std::span<std::uint64_t> qabs(qabs_.get(), n);
   const std::span<double> witness(witness_.get(), n);
-  const bool parallel =
-      pool != nullptr && pool->size() > 1 && iters >= 4096 && n > 0;
-  if (!parallel) {
+  const bool parallel = pool != nullptr && pool->size() > 1 && iters >= 4096;
+  refs_folded_ = n == 0 ? 0 : refs_total;
+  if (n == 0) {
+    // No element is sampled: every reference would miss, so the pass
+    // could change no state and is skipped.
+  } else if (!parallel) {
     // The sampled-positions cache pays off only for a partial sample on
     // a pattern the cache has seen before (the steady state of a serving
     // site re-submitting its loop); anything else is a plain scan.
     const bool cacheable =
-        !all && !none && n > 0 &&
+        rate < 1.0 &&
         refs_total <= std::numeric_limits<std::uint32_t>::max() &&
         iters <= std::numeric_limits<std::uint32_t>::max();
     if (!cacheable) {
       fold_serial(in, 0, iters, counts, qsum, qabs, witness,
                   scale_table(in.pattern.body_flops));
     } else {
-      SampledPositions& cache =
-          positions != nullptr ? *positions : own_positions_;
       SampledPositions::Key key;
       key.idx = in.pattern.refs.indices().data();
       key.row_ptr = in.pattern.refs.row_ptr().data();
@@ -303,6 +322,7 @@ void ReductionChecker::begin(const ReductionInput& in,
       key.fingerprint = pattern_fingerprint(in);
       if (cache.valid && key == cache.key) {
         fold_replay(in, cache, counts, qsum, qabs, witness);
+        refs_folded_ = cache.refs.size();
       } else {
         cache.key = key;
         fold_record(in, cache, counts, qsum, qabs, witness,
@@ -377,7 +397,7 @@ void ReductionChecker::begin(const ReductionInput& in,
             ? static_cast<std::uint64_t>(static_cast<unsigned __int128>(qsum_[s]))
             : std::bit_cast<std::uint64_t>(witness_[s]);
     sum += mix64(cs_seed ^
-                 (elements_[s] + 1) * 0x9E3779B97F4A7C15ull ^
+                 (elements[s] + 1) * 0x9E3779B97F4A7C15ull ^
                  item * 0xFF51AFD7ED558CCDull) +
            counts_[s];
   }
@@ -389,15 +409,17 @@ CheckReport ReductionChecker::verify(std::span<const double> out) const {
   SAPP_REQUIRE(begun_, "verify before begin");
   Timer t;
   CheckReport rep;
-  rep.slots_sampled = elements_.size();
+  const std::vector<std::uint32_t>& elements = sel_->elements;
+  rep.slots_sampled = elements.size();
   rep.input_checksum = checksum_;
+  rep.refs_folded = refs_folded_;
   constexpr double kEps = std::numeric_limits<double>::epsilon();
   constexpr double kTiny = std::numeric_limits<double>::denorm_min();
 
-  for (std::size_t s = 0; s < elements_.size(); ++s) {
+  for (std::size_t s = 0; s < elements.size(); ++s) {
     const std::uint32_t count = counts_[s];
     const double before = before_[s];
-    const double after = out[elements_[s]];
+    const double after = out[elements[s]];
     // Fast pass-path: an untouched slot whose value is unchanged needs no
     // tolerance math — on sparse patterns that is most sampled slots.
     if (count == 0 && after == before) continue;
@@ -438,7 +460,7 @@ CheckReport ReductionChecker::verify(std::span<const double> out) const {
     if (!ok) {
       ++rep.slots_failed;
       if (rep.first_failed_slot == CheckReport::knpos)
-        rep.first_failed_slot = elements_[s];
+        rep.first_failed_slot = elements[s];
     }
   }
   rep.passed = rep.slots_failed == 0;

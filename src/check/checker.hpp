@@ -81,18 +81,26 @@ struct CheckReport {
   std::size_t first_failed_slot = knpos;  ///< element index of first failure
   double max_rel_excess = 0.0;  ///< worst error/tolerance ratio seen (sum op)
   std::uint64_t input_checksum = 0;  ///< order-independent mod-2^64 fold
+  /// Reference positions the input pass visited: 0 when no element is
+  /// sampled, the recorded position count on a replay, every reference
+  /// on a full scan.
+  std::size_t refs_folded = 0;
   double check_s = 0.0;              ///< wall time spent checking
 };
 
-/// Sampled-positions cache of one access pattern: on a serial fold over a
-/// pattern already seen (same Key), only the reference positions that hit
-/// sampled blocks are replayed — O(rate·refs) instead of O(refs), which
-/// is what makes steady-state checking cheap for a long-lived serving
-/// site that submits the same pattern repeatedly. The replay accumulates
-/// in the recording scan's order, so the checker state is bitwise
-/// identical to a full scan. A checker keeps one of its own; a caller
-/// that checks many patterns alternately (AdaptiveReducer, one per site)
-/// passes its own to begin(), so the sites do not evict each other.
+/// Per-site sampling state, cached across begin() calls so a steady-state
+/// check costs O(rate·dim + rate·refs):
+///   * the block selection — which elements are sampled and the slot of
+///     each — depends only on (dim, rate), so a repeat begin() neither
+///     hashes the dim/16 blocks nor rebuilds the per-block map;
+///   * the sampled positions of one access pattern: on a serial fold over
+///     a pattern already seen (same Key), only the reference positions
+///     that hit sampled blocks are replayed — O(rate·refs) instead of
+///     O(refs). The replay accumulates in the recording scan's order, so
+///     the checker state is bitwise identical to a full scan.
+/// A checker keeps one of its own; a caller that checks many patterns
+/// alternately (AdaptiveReducer, one per site) passes its own to begin(),
+/// so the sites do not evict each other.
 struct SampledPositions {
   /// Identity of an access pattern: buffer addresses and sizes plus a
   /// content fingerprint over three 64-index windows of the reference
@@ -110,13 +118,29 @@ struct SampledPositions {
     std::uint64_t fingerprint = 0;
     bool operator==(const Key&) const = default;
   };
+  /// One recorded reference: its position j in the stream, the sampled
+  /// slot its element maps to, and its iteration's iteration_scale (so a
+  /// replay needs neither the index stream, the block map nor a scale
+  /// table — sites with different body_flops alternate on a thread).
+  struct Ref {
+    std::uint32_t pos;
+    std::uint32_t slot;
+    double scale;
+  };
 
+  /// Block selection, valid for (sel_dim, sel_rate) when sel_valid.
+  std::size_t sel_dim = 0;
+  double sel_rate = 0.0;
+  bool sel_valid = false;
+  /// Per-block map: first slot index of the block's run (kUnsampled when
+  /// the block is unobserved).
+  std::vector<std::uint32_t> block_base;
+  std::vector<std::uint32_t> elements;  ///< slot → element index
+
+  /// Recorded positions, valid for `key` when `valid`.
   Key key;
   bool valid = false;
-  std::vector<std::uint32_t> pos;  ///< ref positions j, scan order
-  /// iteration_scale of each position's iteration, so a replay needs no
-  /// scale table (sites with different body_flops alternate on a thread).
-  std::vector<double> scale;
+  std::vector<Ref> refs;  ///< scan order
 };
 
 /// One-shot checker for a single scheme execution: snapshot + input pass
@@ -146,8 +170,11 @@ class ReductionChecker {
   /// output array *before* the scheme runs. When `pool` is non-null and
   /// the pattern is large enough the input pass is sharded over the pool
   /// (the integer accumulation merges exactly, so the result is bitwise
-  /// identical to the serial pass). A serial pass reads and fills
-  /// `positions` (the checker's own cache when null).
+  /// identical to the serial pass). The block selection is read from
+  /// `positions` (the checker's own cache when null), and a serial pass
+  /// also replays or records its positions; `positions` must outlive the
+  /// matching verify(). When no element is sampled the input pass is
+  /// skipped: every reference would miss.
   void begin(const ReductionInput& in, std::span<const double> out,
              ThreadPool* pool = nullptr,
              SampledPositions* positions = nullptr);
@@ -159,7 +186,7 @@ class ReductionChecker {
   /// begin; equal across thread counts and combine orders by construction).
   [[nodiscard]] std::uint64_t input_checksum() const { return checksum_; }
 
-  [[nodiscard]] std::size_t slots_sampled() const { return elements_.size(); }
+  [[nodiscard]] std::size_t slots_sampled() const { return before_.size(); }
   [[nodiscard]] double begin_seconds() const { return begin_s_; }
 
   /// The sampling predicate, exposed so tests and the fault-injection
@@ -177,6 +204,12 @@ class ReductionChecker {
   static constexpr unsigned kBlockShift = 4;
   static constexpr std::size_t kBlock = std::size_t{1} << kBlockShift;
   static constexpr std::uint32_t kUnsampled = 0xFFFFFFFFu;
+
+  /// Fill `sel`'s block selection for (dim, rate) unless it already holds
+  /// it. Recorded slots of an older selection never replay: the Key
+  /// holds dim and rate.
+  static void select_blocks(SampledPositions& sel, std::size_t dim,
+                            double rate);
 
   /// Per-sampled-element state, struct-of-arrays (the AoS layout cost a
   /// 64-byte write per slot and dominated the whole begin pass). The
@@ -215,10 +248,8 @@ class ReductionChecker {
 
   CheckerOptions opt_;
   CheckOp op_;
-  /// Per-block map: first slot index of the block's run (kUnsampled when
-  /// the block is unobserved).
-  std::vector<std::uint32_t> block_base_;
-  std::vector<std::uint32_t> elements_;  ///< slot → element index
+  /// Block selection of the current cycle (set by begin()).
+  const SampledPositions* sel_ = nullptr;
   std::vector<double> before_;           ///< out[e] before the scheme ran
   std::vector<std::uint32_t> counts_;    ///< contributions folded in
   std::unique_ptr<__int128[]> qsum_;        ///< sum: Σ llrint(c·2^40), exact
@@ -230,6 +261,7 @@ class ReductionChecker {
   unsigned scale_flops_ = 0;
   /// Sampled-positions cache used when begin() is given none.
   SampledPositions own_positions_;
+  std::size_t refs_folded_ = 0;
   std::uint64_t checksum_ = 0;
   double begin_s_ = 0.0;
   bool begun_ = false;

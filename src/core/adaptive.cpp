@@ -96,7 +96,12 @@ SchemeResult AdaptiveReducer::execute_current(const ReductionInput& in,
                                               std::span<double> out) {
   if (!opt_.check.enabled)
     return scheme_->execute(plan_.get(), in, pool_, out);
-  check_before_.assign(out.begin(), out.end());
+  // Rollback snapshot of the whole output (a fault can hit any element,
+  // not only sampled ones). Per thread, not per site: only the submitting
+  // thread reads it, within this call, and a per-site copy would hold a
+  // dim-sized buffer for every live site.
+  static thread_local std::vector<double> before;
+  before.assign(out.begin(), out.end());
   // A warm-started invocation is running an evicted-then-restored cached
   // decision — corruption there is the injector's third class.
   const FaultSite site = warm_started_ ? FaultSite::kRestoredDecision
@@ -109,7 +114,7 @@ SchemeResult AdaptiveReducer::execute_current(const ReductionInput& in,
   if (!last_check_.passed) {
     ++check_failures_;
     last_check_failed_ = true;
-    std::copy(check_before_.begin(), check_before_.end(), out.begin());
+    std::copy(before.begin(), before.end(), out.begin());
     Timer t;
     make_scheme(SchemeKind::kSeq)->execute(nullptr, in, pool_, out);
     r.check_s += t.seconds();

@@ -187,11 +187,9 @@ class AdaptiveReducer {
   std::uint64_t check_failures_ = 0;
   bool last_check_failed_ = false;
   CheckReport last_check_{};
-  /// Pre-invocation output snapshot for rollback (reused across checked
-  /// invocations to avoid an allocation per call).
-  std::vector<double> check_before_;
-  /// This site's sampled-positions cache: the per-thread checker is shared
-  /// by every site a thread submits to, so its own cache would thrash.
+  /// This site's checker sampling state (block selection and sampled
+  /// positions): the per-thread checker is shared by every site a thread
+  /// submits to, so its own cache would thrash.
   SampledPositions check_positions_;
   /// Invocation evidence inherited from the cache entry on a warm start.
   std::uint64_t invocations_base_ = 0;

@@ -225,11 +225,45 @@ TEST(Checker, ChecksumBitwiseEqualAcrossThreadCountsAndCombineOrders) {
   }
 }
 
-TEST(Checker, SampledPositionsReplayIsBitwiseAFullScan) {
-  // Two patterns with different body_flops alternate on one checker, each
-  // with its own positions cache, the way serving sites alternate on a
-  // client thread. Every replay must reproduce a fresh checker's full
-  // scan bitwise and still catch a corrupted sampled element.
+/// begin() on `shared` (with `pos`, a positions cache it may have seen
+/// before) and on a fresh checker: the sampled slots, the checksum and
+/// the verdict on the correct output must be bitwise equal, and a
+/// corrupted sampled element must still fail. Returns `shared`'s report
+/// on the correct output.
+CheckReport expect_matches_fresh(ReductionChecker& shared,
+                                 const ReductionInput& in, CheckerOptions co,
+                                 SampledPositions* pos) {
+  std::vector<double> out(in.pattern.dim, 0.5);
+  shared.configure(co);
+  shared.begin(in, out, nullptr, pos);
+  ReductionChecker fresh(co);
+  fresh.begin(in, out, nullptr);
+  EXPECT_EQ(shared.slots_sampled(), fresh.slots_sampled());
+  EXPECT_EQ(shared.input_checksum(), fresh.input_checksum());
+  run_sequential(in, out);
+  const CheckReport got = shared.verify(out);
+  const CheckReport want = fresh.verify(out);
+  EXPECT_TRUE(got.passed);
+  EXPECT_TRUE(want.passed);
+  EXPECT_EQ(got.slots_sampled, want.slots_sampled);
+  EXPECT_EQ(got.input_checksum, want.input_checksum);
+  EXPECT_EQ(got.contributions, want.contributions);
+  EXPECT_EQ(got.max_rel_excess, want.max_rel_excess);
+  // A fresh checker has recorded nothing, so it scans every reference
+  // (unless nothing is sampled at all).
+  EXPECT_EQ(want.refs_folded,
+            want.slots_sampled == 0 ? 0u : in.pattern.num_refs());
+  std::size_t e = 0;
+  while (e < out.size() && !ReductionChecker::slot_sampled(co.sample_rate, e))
+    ++e;
+  if (e < out.size()) {
+    out[e] = corrupt_value(out[e]);
+    EXPECT_FALSE(shared.verify(out).passed);
+  }
+  return got;
+}
+
+ReductionInput second_site_input() {
   workloads::SynthParams p;
   p.dim = 900;
   p.distinct = 700;
@@ -237,8 +271,24 @@ TEST(Checker, SampledPositionsReplayIsBitwiseAFullScan) {
   p.refs_per_iter = 2;
   p.body_flops = 11;
   p.seed = 77;
+  return workloads::make_synthetic(p);
+}
+
+/// Largest dim (a multiple of the 16-element block) whose output samples
+/// no block at `rate`.
+std::size_t unsampled_dim(double rate) {
+  std::size_t dim = 0;
+  while (ReductionChecker::count_sampled(rate, dim + 16) == 0) dim += 16;
+  return dim;
+}
+
+TEST(Checker, SampledPositionsReplayIsBitwiseAFullScan) {
+  // Two patterns with different body_flops alternate on one checker, each
+  // with its own positions cache, the way serving sites alternate on a
+  // client thread. Every replay must reproduce a fresh checker's full
+  // scan bitwise and still catch a corrupted sampled element.
   const ReductionInput a = detection_input();
-  const ReductionInput b = workloads::make_synthetic(p);
+  const ReductionInput b = second_site_input();
   ASSERT_NE(a.pattern.body_flops, b.pattern.body_flops);
   CheckerOptions co;
   co.enabled = true;
@@ -250,23 +300,74 @@ TEST(Checker, SampledPositionsReplayIsBitwiseAFullScan) {
   for (int round = 0; round < 3; ++round) {
     for (const auto& [in, pos] : sites) {
       SCOPED_TRACE("round " + std::to_string(round));
-      std::vector<double> out(in->pattern.dim, 0.5);
-      shared.begin(*in, out, nullptr, pos);
+      const CheckReport rep = expect_matches_fresh(shared, *in, co, pos);
       EXPECT_TRUE(pos->valid);
-      ReductionChecker fresh(co);
-      fresh.begin(*in, out, nullptr);
-      EXPECT_EQ(shared.input_checksum(), fresh.input_checksum());
-      run_sequential(*in, out);
-      const CheckReport got = shared.verify(out);
-      const CheckReport want = fresh.verify(out);
-      EXPECT_TRUE(got.passed);
-      EXPECT_EQ(got.contributions, want.contributions);
-      EXPECT_EQ(got.max_rel_excess, want.max_rel_excess);
-      std::size_t e = 0;
-      while (!ReductionChecker::slot_sampled(co.sample_rate, e)) ++e;
-      out[e] = corrupt_value(out[e]);
-      EXPECT_FALSE(shared.verify(out).passed);
+      // The first begin records by scanning every reference; every later
+      // one replays only the recorded positions.
+      EXPECT_EQ(rep.refs_folded,
+                round == 0 ? in->pattern.num_refs() : pos->refs.size());
+      EXPECT_LT(pos->refs.size(), in->pattern.num_refs());
     }
+  }
+}
+
+TEST(Checker, CachedSelectionFollowsDimAndRateChanges) {
+  // One positions cache sees a dim change, then a rate change; each new
+  // (dim, rate) must rebuild the block selection and re-record, and each
+  // repeat must replay — all bitwise equal to a fresh checker.
+  const ReductionInput a = detection_input();
+  const ReductionInput b = second_site_input();
+  ASSERT_NE(a.pattern.dim, b.pattern.dim);
+  CheckerOptions quarter;
+  quarter.enabled = true;
+  quarter.sample_rate = 0.25;
+  CheckerOptions half = quarter;
+  half.sample_rate = 0.5;
+  const struct {
+    const ReductionInput* in;
+    CheckerOptions co;
+    bool replay;
+  } steps[] = {{&a, quarter, false},   {&a, quarter, true},
+               {&b, quarter, false},   {&b, quarter, true},
+               {&b, half, false},      {&b, half, true},
+               {&a, half, false}};
+  ReductionChecker shared(quarter);
+  SampledPositions pos;
+  for (std::size_t k = 0; k < std::size(steps); ++k) {
+    SCOPED_TRACE("step " + std::to_string(k));
+    const auto& st = steps[k];
+    const CheckReport rep = expect_matches_fresh(shared, *st.in, st.co, &pos);
+    ASSERT_GT(rep.slots_sampled, 0u);
+    EXPECT_EQ(rep.slots_sampled, ReductionChecker::count_sampled(
+                                     st.co.sample_rate, st.in->pattern.dim));
+    EXPECT_EQ(rep.refs_folded,
+              st.replay ? pos.refs.size() : st.in->pattern.num_refs());
+  }
+}
+
+TEST(Checker, InputWithNoSampledBlockFoldsNothing) {
+  // An output whose dim samples no block at the rate: the check passes
+  // with 0 slots and visits no reference, cached or not.
+  constexpr double kRate = 0.05;
+  workloads::SynthParams p;
+  p.dim = unsampled_dim(kRate);
+  ASSERT_GT(p.dim, 0u) << "block 0 is sampled at this rate";
+  p.distinct = p.dim;
+  p.iterations = 500;
+  p.refs_per_iter = 3;
+  p.seed = 99;
+  const ReductionInput in = workloads::make_synthetic(p);
+  CheckerOptions co;
+  co.enabled = true;
+  co.sample_rate = kRate;
+  ReductionChecker shared(co);
+  SampledPositions pos;
+  for (int round = 0; round < 2; ++round) {
+    const CheckReport rep = expect_matches_fresh(shared, in, co, &pos);
+    EXPECT_TRUE(rep.passed);
+    EXPECT_EQ(rep.slots_sampled, 0u);
+    EXPECT_EQ(rep.refs_folded, 0u);
+    EXPECT_EQ(rep.input_checksum, 0u);
   }
 }
 
@@ -282,6 +383,7 @@ TEST(Checker, EmptyAndUnsampledInputsPass) {
   none.begin(in, out, nullptr);
   EXPECT_EQ(none.slots_sampled(), 0u);
   EXPECT_TRUE(none.verify(out).passed);
+  EXPECT_EQ(none.verify(out).refs_folded, 0u);
 
   // Zero iterations: every sampled slot has zero contributions and the
   // untouched output must pass.

@@ -347,6 +347,48 @@ TEST(AdaptiveReducer, CharacterizesOnceForStablePattern) {
   EXPECT_EQ(red.recharacterizations(), 1u);
 }
 
+TEST(AdaptiveReducer, SeqSiteWithNoSampledBlockIsStillCheckedEveryTime) {
+  // A small site settles on seq, and its dim samples no block at the
+  // serving rate: every invocation still counts one check (the serving
+  // benchmark requires 1000 checks per 1k submits), and the output is
+  // run_sequential's, bitwise.
+  constexpr double kRate = 0.05;
+  std::size_t dim = 0;
+  while (ReductionChecker::count_sampled(kRate, dim + 16) == 0) dim += 16;
+  ASSERT_GT(dim, 0u) << "block 0 is sampled at this rate";
+  workloads::SynthParams p;
+  p.dim = dim;
+  p.distinct = dim;
+  p.iterations = 400;
+  p.refs_per_iter = 3;
+  p.seed = 31;
+  const auto in = workloads::make_synthetic(p);
+  std::vector<double> ref(dim, 0.0);
+  run_sequential(in, ref);
+
+  ThreadPool pool(2);
+  AdaptiveOptions opt;
+  opt.check.enabled = true;
+  opt.check.sample_rate = kRate;
+  // Measured times must not move the site off seq (the host's load would
+  // decide the test otherwise).
+  opt.mispredict_patience = 1 << 30;
+  opt.monitor.time_drift_patience = 1 << 30;
+  AdaptiveReducer red(pool, MachineCoeffs::defaults(), opt);
+  std::vector<double> out(dim);
+  for (int k = 0; k < 5; ++k) {
+    std::fill(out.begin(), out.end(), 0.0);
+    (void)red.invoke(in, out);
+    for (std::size_t e = 0; e < dim; ++e)
+      ASSERT_EQ(out[e], ref[e]) << "invocation " << k << " element " << e;
+  }
+  EXPECT_EQ(red.current(), SchemeKind::kSeq);
+  EXPECT_EQ(red.checks_run(), red.invocations());
+  EXPECT_EQ(red.check_failures(), 0u);
+  EXPECT_EQ(red.last_check().slots_sampled, 0u);
+  EXPECT_EQ(red.last_check().refs_folded, 0u);
+}
+
 TEST(AdaptiveReducer, DriftTriggersRecharacterization) {
   ThreadPool pool(2);
   AdaptiveReducer red(pool, MachineCoeffs::defaults(),
