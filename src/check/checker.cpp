@@ -61,9 +61,7 @@ inline double i128_to_double(__int128 v) {
   return static_cast<double>(v);
 }
 
-/// Saturating add of non-negative magnitudes — commutative and
-/// associative (the sum is monotone, so any overflow pins every
-/// association at the ceiling), which keeps sharded merges exact.
+/// Saturating add of non-negative magnitudes.
 inline std::uint64_t sat_add_u64(std::uint64_t a, std::uint64_t b) {
   const std::uint64_t s = a + b;
   return s < a ? std::numeric_limits<std::uint64_t>::max() : s;
@@ -95,6 +93,121 @@ std::uint64_t pattern_fingerprint(const ReductionInput& in) {
   return mix64(h);
 }
 
+/// Sampling block: one membership hash covers 2^kBlockShift consecutive
+/// elements, and a sampled block's elements occupy consecutive slots.
+constexpr unsigned kBlockShift = 4;
+constexpr std::size_t kBlock = std::size_t{1} << kBlockShift;
+
+/// Fill `sel`'s block selection for (dim, rate) unless it already holds
+/// it. Recorded slots of an older selection never replay: the Key holds
+/// dim and rate.
+void select_blocks(SampledPositions& sel, std::size_t dim, double rate) {
+  if (sel.sel_valid && sel.sel_dim == dim && sel.sel_rate == rate) return;
+  // One hash decides a whole 16-element block, so this pass is O(dim/16)
+  // plus O(sampled).
+  const std::size_t nblocks = (dim + kBlock - 1) >> kBlockShift;
+  sel.block_base.assign(nblocks, SampledPositions::kUnsampled);
+  sel.elements.clear();
+  const bool all = rate >= 1.0;
+  const bool none = !all && rate <= 0.0;
+  const std::uint64_t threshold = all || none ? 0 : sample_threshold(rate);
+  sel.elements.reserve(
+      all ? dim
+          : static_cast<std::size_t>(static_cast<double>(dim) *
+                                     std::min(1.0, rate * 1.2)) +
+                kBlock);
+  for (std::size_t b = 0; b < nblocks && !none; ++b) {
+    if (!all && element_hash(ReductionChecker::kSampleSeed, b) >= threshold)
+      continue;
+    sel.block_base[b] = static_cast<std::uint32_t>(sel.elements.size());
+    const std::size_t e0 = b << kBlockShift;
+    const std::size_t e1 = std::min(dim, e0 + kBlock);
+    for (std::size_t e = e0; e < e1; ++e)
+      sel.elements.push_back(static_cast<std::uint32_t>(e));
+  }
+  sel.sel_dim = dim;
+  sel.sel_rate = rate;
+  sel.sel_valid = true;
+}
+
+/// Cache key of `in`'s access pattern checked at `rate`.
+SampledPositions::Key pattern_key(const ReductionInput& in, double rate) {
+  return {.idx = in.pattern.refs.indices().data(),
+          .row_ptr = in.pattern.refs.row_ptr().data(),
+          .dim = in.pattern.dim,
+          .iters = in.pattern.iterations(),
+          .refs = in.pattern.refs.indices().size(),
+          .rate = rate,
+          .body_flops = in.pattern.body_flops,
+          .fingerprint = pattern_fingerprint(in)};
+}
+
+/// The per-slot accumulators of one begin(), passed by value so the fold
+/// loops keep the pointers in registers.
+struct Accum {
+  CheckOp op;
+  std::uint32_t* counts;
+  __int128* qsum;
+  std::uint64_t* qabs;
+  double* witness;
+
+  /// Fold contribution `c` into `slot`. First touch initializes the
+  /// (deliberately uninitialized) accumulators; the count is the guard.
+  void add(std::uint32_t slot, double c) const {
+    const std::uint32_t seen = counts[slot]++;
+    if (op == CheckOp::kSum) {
+      const std::int64_t q = quantize(c);
+      const std::uint64_t a = q < 0 ? static_cast<std::uint64_t>(-(q + 1)) + 1
+                                    : static_cast<std::uint64_t>(q);
+      if (seen == 0) {
+        qsum[slot] = q;
+        qabs[slot] = a;
+      } else {
+        qsum[slot] += q;
+        qabs[slot] = sat_add_u64(qabs[slot], a);
+      }
+    } else {
+      witness[slot] = seen == 0 ? c : combine_witness(op, witness[slot], c);
+    }
+  }
+};
+
+/// Scan of every reference through the block map. With `record` it also
+/// appends each sampled reference (position, slot, iteration scale) in
+/// scan order: the cache fill.
+void fold_scan(const ReductionInput& in,
+               std::span<const std::uint32_t> block_base,
+               std::span<const double> scale, Accum acc,
+               std::vector<SampledPositions::Ref>* record) {
+  const auto& refs = in.pattern.refs;
+  const double* vals = in.values.data();
+  const auto& ptr = refs.row_ptr();
+  const std::uint32_t* idx = refs.indices().data();
+  const std::size_t iters = in.pattern.iterations();
+  for (std::size_t i = 0; i < iters; ++i) {
+    const double s = scale[i & 1023];
+    for (std::uint64_t j = ptr[i]; j < ptr[i + 1]; ++j) {
+      const std::uint32_t e = idx[j];
+      const std::uint32_t base = block_base[e >> kBlockShift];
+      if (base == SampledPositions::kUnsampled) continue;
+      const std::uint32_t slot =
+          base + (e & static_cast<std::uint32_t>(kBlock - 1));
+      if (record != nullptr)
+        record->push_back({static_cast<std::uint32_t>(j), slot, s});
+      acc.add(slot, vals[j] * s);
+    }
+  }
+}
+
+/// Replay of recorded positions (cache hit): the scan's contributions in
+/// the scan's order, so the state is bitwise the full scan's.
+void fold_replay(const ReductionInput& in,
+                 std::span<const SampledPositions::Ref> recorded, Accum acc) {
+  const double* vals = in.values.data();
+  for (const SampledPositions::Ref& r : recorded)
+    acc.add(r.slot, vals[r.pos] * r.scale);
+}
+
 }  // namespace
 
 bool ReductionChecker::slot_sampled(double rate, std::uint64_t element) {
@@ -119,100 +232,6 @@ std::size_t ReductionChecker::count_sampled(double rate, std::size_t dim) {
 ReductionChecker::ReductionChecker(CheckerOptions opt, CheckOp op)
     : opt_(opt), op_(op) {}
 
-namespace {
-
-/// Shared accumulate step of every fold variant. First touch initializes
-/// the (deliberately uninitialized) accumulators; the count is the guard.
-inline void accumulate_slot(CheckOp op, std::uint32_t slot, double c,
-                            std::span<std::uint32_t> counts,
-                            std::span<__int128> qsum,
-                            std::span<std::uint64_t> qabs,
-                            std::span<double> witness) {
-  const std::uint32_t seen = counts[slot]++;
-  if (op == CheckOp::kSum) {
-    const std::int64_t q = quantize(c);
-    const std::uint64_t a = q < 0 ? static_cast<std::uint64_t>(-(q + 1)) + 1
-                                  : static_cast<std::uint64_t>(q);
-    if (seen == 0) {
-      qsum[slot] = q;
-      qabs[slot] = a;
-    } else {
-      qsum[slot] += q;
-      qabs[slot] = sat_add_u64(qabs[slot], a);
-    }
-  } else {
-    witness[slot] = seen == 0 ? c : combine_witness(op, witness[slot], c);
-  }
-}
-
-}  // namespace
-
-void ReductionChecker::fold_serial(const ReductionInput& in,
-                                   std::size_t iter_begin,
-                                   std::size_t iter_end,
-                                   std::span<std::uint32_t> counts,
-                                   std::span<__int128> qsum,
-                                   std::span<std::uint64_t> qabs,
-                                   std::span<double> witness,
-                                   std::span<const double> scale) const {
-  const auto& refs = in.pattern.refs;
-  const double* vals = in.values.data();
-  const auto& ptr = refs.row_ptr();
-  const std::uint32_t* idx = refs.indices().data();
-  const std::uint32_t* block_base = sel_->block_base.data();
-  for (std::size_t i = iter_begin; i < iter_end; ++i) {
-    const double s = scale[i & 1023];
-    for (std::uint64_t j = ptr[i]; j < ptr[i + 1]; ++j) {
-      const std::uint32_t e = idx[j];
-      const std::uint32_t base = block_base[e >> kBlockShift];
-      if (base == kUnsampled) continue;
-      const std::uint32_t slot =
-          base + (e & static_cast<std::uint32_t>(kBlock - 1));
-      accumulate_slot(op_, slot, vals[j] * s, counts, qsum, qabs, witness);
-    }
-  }
-}
-
-void ReductionChecker::fold_record(const ReductionInput& in,
-                                   SampledPositions& cache,
-                                   std::span<std::uint32_t> counts,
-                                   std::span<__int128> qsum,
-                                   std::span<std::uint64_t> qabs,
-                                   std::span<double> witness,
-                                   std::span<const double> scale) const {
-  cache.refs.clear();
-  const auto& refs = in.pattern.refs;
-  const double* vals = in.values.data();
-  const auto& ptr = refs.row_ptr();
-  const std::uint32_t* idx = refs.indices().data();
-  const std::uint32_t* block_base = cache.block_base.data();
-  const std::size_t iters = in.pattern.iterations();
-  for (std::size_t i = 0; i < iters; ++i) {
-    const double s = scale[i & 1023];
-    for (std::uint64_t j = ptr[i]; j < ptr[i + 1]; ++j) {
-      const std::uint32_t e = idx[j];
-      const std::uint32_t base = block_base[e >> kBlockShift];
-      if (base == kUnsampled) continue;
-      const std::uint32_t slot =
-          base + (e & static_cast<std::uint32_t>(kBlock - 1));
-      cache.refs.push_back({static_cast<std::uint32_t>(j), slot, s});
-      accumulate_slot(op_, slot, vals[j] * s, counts, qsum, qabs, witness);
-    }
-  }
-}
-
-void ReductionChecker::fold_replay(const ReductionInput& in,
-                                   const SampledPositions& cache,
-                                   std::span<std::uint32_t> counts,
-                                   std::span<__int128> qsum,
-                                   std::span<std::uint64_t> qabs,
-                                   std::span<double> witness) const {
-  const double* vals = in.values.data();
-  for (const SampledPositions::Ref& r : cache.refs)
-    accumulate_slot(op_, r.slot, vals[r.pos] * r.scale, counts, qsum, qabs,
-                    witness);
-}
-
 std::span<const double> ReductionChecker::scale_table(unsigned body_flops) {
   // iteration_scale depends only on iter % 1024, so one 1024-entry table
   // replaces the per-iteration flops chain (the scheme still pays it; the
@@ -228,37 +247,8 @@ std::span<const double> ReductionChecker::scale_table(unsigned body_flops) {
   return scale_;
 }
 
-void ReductionChecker::select_blocks(SampledPositions& sel, std::size_t dim,
-                                     double rate) {
-  if (sel.sel_valid && sel.sel_dim == dim && sel.sel_rate == rate) return;
-  // One hash decides a whole 16-element block, so this pass is O(dim/16)
-  // plus O(sampled).
-  const std::size_t nblocks = (dim + kBlock - 1) >> kBlockShift;
-  sel.block_base.assign(nblocks, kUnsampled);
-  sel.elements.clear();
-  const bool all = rate >= 1.0;
-  const bool none = !all && rate <= 0.0;
-  const std::uint64_t threshold = all || none ? 0 : sample_threshold(rate);
-  sel.elements.reserve(
-      all ? dim
-          : static_cast<std::size_t>(static_cast<double>(dim) *
-                                     std::min(1.0, rate * 1.2)) +
-                kBlock);
-  for (std::size_t b = 0; b < nblocks && !none; ++b) {
-    if (!all && element_hash(kSampleSeed, b) >= threshold) continue;
-    sel.block_base[b] = static_cast<std::uint32_t>(sel.elements.size());
-    const std::size_t e0 = b << kBlockShift;
-    const std::size_t e1 = std::min(dim, e0 + kBlock);
-    for (std::size_t e = e0; e < e1; ++e)
-      sel.elements.push_back(static_cast<std::uint32_t>(e));
-  }
-  sel.sel_dim = dim;
-  sel.sel_rate = rate;
-  sel.sel_valid = true;
-}
-
 void ReductionChecker::begin(const ReductionInput& in,
-                             std::span<const double> out, ThreadPool* pool,
+                             std::span<const double> out,
                              SampledPositions* positions) {
   SAPP_REQUIRE(in.consistent(), "values/pattern size mismatch");
   SAPP_REQUIRE(out.size() == in.pattern.dim, "output size mismatch");
@@ -287,99 +277,33 @@ void ReductionChecker::begin(const ReductionInput& in,
     accum_cap_ = n;
   }
 
-  // --- Recompute contributions from the input stream.
-  const std::size_t iters = in.pattern.iterations();
+  // --- Recompute contributions from the input stream, on this thread.
+  // Recording pays off only for a partial sample of a pattern seen before
+  // (the steady state of a serving site re-submitting its loop); a full
+  // sample visits every reference anyway, so it is a plain scan.
   const std::size_t refs_total = in.pattern.refs.indices().size();
-  const std::span<std::uint32_t> counts(counts_);
-  const std::span<__int128> qsum(qsum_.get(), n);
-  const std::span<std::uint64_t> qabs(qabs_.get(), n);
-  const std::span<double> witness(witness_.get(), n);
-  const bool parallel = pool != nullptr && pool->size() > 1 && iters >= 4096;
-  refs_folded_ = n == 0 ? 0 : refs_total;
+  const Accum acc{op_, counts_.data(), qsum_.get(), qabs_.get(),
+                  witness_.get()};
+  const bool cacheable =
+      rate < 1.0 && refs_total <= std::numeric_limits<std::uint32_t>::max();
+  refs_folded_ = refs_total;
   if (n == 0) {
     // No element is sampled: every reference would miss, so the pass
     // could change no state and is skipped.
-  } else if (!parallel) {
-    // The sampled-positions cache pays off only for a partial sample on
-    // a pattern the cache has seen before (the steady state of a serving
-    // site re-submitting its loop); anything else is a plain scan.
-    const bool cacheable =
-        rate < 1.0 &&
-        refs_total <= std::numeric_limits<std::uint32_t>::max() &&
-        iters <= std::numeric_limits<std::uint32_t>::max();
-    if (!cacheable) {
-      fold_serial(in, 0, iters, counts, qsum, qabs, witness,
-                  scale_table(in.pattern.body_flops));
-    } else {
-      SampledPositions::Key key;
-      key.idx = in.pattern.refs.indices().data();
-      key.row_ptr = in.pattern.refs.row_ptr().data();
-      key.dim = dim;
-      key.iters = iters;
-      key.refs = refs_total;
-      key.rate = rate;
-      key.body_flops = in.pattern.body_flops;
-      key.fingerprint = pattern_fingerprint(in);
-      if (cache.valid && key == cache.key) {
-        fold_replay(in, cache, counts, qsum, qabs, witness);
-        refs_folded_ = cache.refs.size();
-      } else {
-        cache.key = key;
-        fold_record(in, cache, counts, qsum, qabs, witness,
-                    scale_table(in.pattern.body_flops));
-        cache.valid = true;
-      }
-    }
+    refs_folded_ = 0;
+  } else if (!cacheable) {
+    fold_scan(in, cache.block_base, scale_table(in.pattern.body_flops), acc,
+              nullptr);
+  } else if (const SampledPositions::Key key = pattern_key(in, rate);
+             cache.valid && key == cache.key) {
+    fold_replay(in, cache.refs, acc);
+    refs_folded_ = cache.refs.size();
   } else {
-    // Sharded pass: each worker folds its iteration block into private
-    // accumulator arrays (first-touch initialized, like the serial pass);
-    // the integer merge is exact (and the witness combine is the operator
-    // itself), so the final state — and the checksum — is bitwise
-    // identical to the serial pass.
-    const unsigned P = pool->size();
-    struct Shard {
-      std::vector<std::uint32_t> counts;
-      std::unique_ptr<__int128[]> qsum;
-      std::unique_ptr<std::uint64_t[]> qabs;
-      std::unique_ptr<double[]> witness;
-      bool used = false;
-    };
-    std::vector<Shard> shard(P);
-    const bool is_sum = op_ == CheckOp::kSum;
-    const std::span<const double> scale = scale_table(in.pattern.body_flops);
-    ThreadPool& tp = *pool;
-    auto* self = this;
-    tp.run([&, self](unsigned tid) {
-      const Range r = static_block(iters, tid, P);
-      if (r.empty()) return;
-      Shard& sh = shard[tid];
-      sh.used = true;
-      sh.counts.assign(n, 0);
-      sh.qsum = std::make_unique_for_overwrite<__int128[]>(n);
-      sh.qabs = std::make_unique_for_overwrite<std::uint64_t[]>(n);
-      sh.witness = std::make_unique_for_overwrite<double[]>(n);
-      self->fold_serial(in, r.begin, r.end, sh.counts,
-                        {sh.qsum.get(), n}, {sh.qabs.get(), n},
-                        {sh.witness.get(), n}, scale);
-    });
-    for (unsigned p = 0; p < P; ++p) {
-      if (!shard[p].used) continue;
-      for (std::size_t s = 0; s < n; ++s) {
-        const std::uint32_t sc = shard[p].counts[s];
-        if (sc == 0) continue;
-        const bool first = counts_[s] == 0;
-        counts_[s] += sc;
-        if (is_sum) {
-          qsum_[s] = first ? shard[p].qsum[s] : qsum_[s] + shard[p].qsum[s];
-          qabs_[s] =
-              first ? shard[p].qabs[s] : sat_add_u64(qabs_[s], shard[p].qabs[s]);
-        } else {
-          witness_[s] = first ? shard[p].witness[s]
-                              : combine_witness(op_, witness_[s],
-                                                shard[p].witness[s]);
-        }
-      }
-    }
+    cache.key = key;
+    cache.refs.clear();
+    fold_scan(in, cache.block_base, scale_table(in.pattern.body_flops), acc,
+              &cache.refs);
+    cache.valid = true;
   }
 
   // --- Order-independent mod-2^64 fold over the per-slot integer state.

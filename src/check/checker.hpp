@@ -12,9 +12,9 @@
 // Per-operator checksum:
 //   * sum — each contribution is quantized to a 2^-40 fixed-point grid
 //     (llrint(ldexp(v, 40))) and accumulated into a 128-bit integer. The
-//     integer sum is exact and order-independent, so the checker state is
-//     bitwise identical across thread counts and combine orders; the
-//     mod-2^64 fold of the slot sums is the experiment's portable
+//     integer sum is exact and order-independent, so the checker state
+//     depends only on the input stream, never on how the scheme combined
+//     it; the mod-2^64 fold of the slot sums is the experiment's portable
 //     "input checksum". The verdict compares out[e] against
 //     before[e] + sum/2^40 under a tolerance that covers both the scheme's
 //     legal reassociation error and the quantization error (derivation in
@@ -41,7 +41,6 @@
 #include <span>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "reductions/access_pattern.hpp"
 
 namespace sapp {
@@ -93,8 +92,8 @@ struct CheckReport {
 ///   * the block selection — which elements are sampled and the slot of
 ///     each — depends only on (dim, rate), so a repeat begin() neither
 ///     hashes the dim/16 blocks nor rebuilds the per-block map;
-///   * the sampled positions of one access pattern: on a serial fold over
-///     a pattern already seen (same Key), only the reference positions
+///   * the sampled positions of one access pattern: on a fold over a
+///     pattern already seen (same Key), only the reference positions
 ///     that hit sampled blocks are replayed — O(rate·refs) instead of
 ///     O(refs). The replay accumulates in the recording scan's order, so
 ///     the checker state is bitwise identical to a full scan.
@@ -127,6 +126,9 @@ struct SampledPositions {
     std::uint32_t slot;
     double scale;
   };
+
+  /// block_base entry of a block with no sampled element.
+  static constexpr std::uint32_t kUnsampled = 0xFFFFFFFFu;
 
   /// Block selection, valid for (sel_dim, sel_rate) when sel_valid.
   std::size_t sel_dim = 0;
@@ -166,17 +168,15 @@ class ReductionChecker {
   }
 
   /// Capture the pre-execution output snapshot for the sampled elements
-  /// and fold the input stream into the checker state. `out` is the
-  /// output array *before* the scheme runs. When `pool` is non-null and
-  /// the pattern is large enough the input pass is sharded over the pool
-  /// (the integer accumulation merges exactly, so the result is bitwise
-  /// identical to the serial pass). The block selection is read from
-  /// `positions` (the checker's own cache when null), and a serial pass
-  /// also replays or records its positions; `positions` must outlive the
-  /// matching verify(). When no element is sampled the input pass is
-  /// skipped: every reference would miss.
+  /// and fold the input stream into the checker state, on the calling
+  /// thread. `out` is the output array *before* the scheme runs. The
+  /// block selection is read from `positions` (the checker's own cache
+  /// when null). Below rate 1 the fold records the pattern's sampled
+  /// positions there on first sight and replays them on every later
+  /// begin(); at rate 1 it scans every reference. `positions` must
+  /// outlive the matching verify(). When no element is sampled the fold
+  /// is skipped: every reference would miss.
   void begin(const ReductionInput& in, std::span<const double> out,
-             ThreadPool* pool = nullptr,
              SampledPositions* positions = nullptr);
 
   /// Compare the post-execution output against the recomputed combines.
@@ -199,49 +199,6 @@ class ReductionChecker {
                                                  std::size_t dim);
 
  private:
-  /// Sampling block: one membership hash covers 2^kBlockShift consecutive
-  /// elements, and a sampled block's elements occupy consecutive slots.
-  static constexpr unsigned kBlockShift = 4;
-  static constexpr std::size_t kBlock = std::size_t{1} << kBlockShift;
-  static constexpr std::uint32_t kUnsampled = 0xFFFFFFFFu;
-
-  /// Fill `sel`'s block selection for (dim, rate) unless it already holds
-  /// it. Recorded slots of an older selection never replay: the Key
-  /// holds dim and rate.
-  static void select_blocks(SampledPositions& sel, std::size_t dim,
-                            double rate);
-
-  /// Per-sampled-element state, struct-of-arrays (the AoS layout cost a
-  /// 64-byte write per slot and dominated the whole begin pass). The
-  /// integer fields are exact under any association; `before_` is captured
-  /// once, not accumulated. `qabs_` saturates at 2^64-1 (absolute sums
-  /// past ~1.6e7 only widen the tolerance, never produce a false accept of
-  /// a corrupted slot beyond it); saturating addition of non-negative
-  /// values is commutative and associative, so shard merges stay exact.
-  ///
-  /// The accumulator arrays (qsum_/qabs_/witness_) are allocated without
-  /// initialization and first-touch initialized under the count guard
-  /// (count 0 → store, else combine): on sparse patterns most sampled
-  /// slots receive no contribution, and zero-filling 28 bytes per slot
-  /// was the largest single cost of begin() on bandwidth-bound hosts. No
-  /// path reads a slot's accumulators while its count is zero.
-  void fold_serial(const ReductionInput& in, std::size_t iter_begin,
-                   std::size_t iter_end, std::span<std::uint32_t> counts,
-                   std::span<__int128> qsum, std::span<std::uint64_t> qabs,
-                   std::span<double> witness,
-                   std::span<const double> scale) const;
-  /// Full serial scan that also records the sampled reference positions
-  /// into `cache` (cache fill).
-  void fold_record(const ReductionInput& in, SampledPositions& cache,
-                   std::span<std::uint32_t> counts, std::span<__int128> qsum,
-                   std::span<std::uint64_t> qabs, std::span<double> witness,
-                   std::span<const double> scale) const;
-  /// Replay of a recorded position list (cache hit); bitwise identical to
-  /// the full scan by construction.
-  void fold_replay(const ReductionInput& in, const SampledPositions& cache,
-                   std::span<std::uint32_t> counts, std::span<__int128> qsum,
-                   std::span<std::uint64_t> qabs,
-                   std::span<double> witness) const;
   /// The 1024-entry iteration_scale table for `body_flops` (rebuilt only
   /// when body_flops changes).
   std::span<const double> scale_table(unsigned body_flops);
@@ -250,6 +207,19 @@ class ReductionChecker {
   CheckOp op_;
   /// Block selection of the current cycle (set by begin()).
   const SampledPositions* sel_ = nullptr;
+  /// Per-sampled-element state, struct-of-arrays (the AoS layout cost a
+  /// 64-byte write per slot and dominated the whole begin pass). The
+  /// integer fields are exact under any association; `before_` is captured
+  /// once, not accumulated. `qabs_` saturates at 2^64-1 (absolute sums
+  /// past ~1.6e7 only widen the tolerance, never produce a false accept of
+  /// a corrupted slot beyond it).
+  ///
+  /// The accumulator arrays (qsum_/qabs_/witness_) are allocated without
+  /// initialization and first-touch initialized under the count guard
+  /// (count 0 → store, else combine): on sparse patterns most sampled
+  /// slots receive no contribution, and zero-filling 28 bytes per slot
+  /// was the largest single cost of begin() on bandwidth-bound hosts. No
+  /// path reads a slot's accumulators while its count is zero.
   std::vector<double> before_;           ///< out[e] before the scheme ran
   std::vector<std::uint32_t> counts_;    ///< contributions folded in
   std::unique_ptr<__int128[]> qsum_;        ///< sum: Σ llrint(c·2^40), exact

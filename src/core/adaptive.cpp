@@ -108,8 +108,7 @@ SchemeResult AdaptiveReducer::execute_current(const ReductionInput& in,
                                        : FaultSite::kSchemeCombine;
   SchemeResult r = scheme_->execute_checked(
       plan_.get(), in, pool_, out, opt_.check, &last_check_,
-      opt_.fault_injector, site, CheckOp::kSum, &check_positions_,
-      on_pool());
+      opt_.fault_injector, site, CheckOp::kSum, &check_positions_);
   ++checks_run_;
   if (!last_check_.passed) {
     ++check_failures_;

@@ -145,8 +145,8 @@ class AdaptiveReducer {
   void adopt(SchemeKind kind, const AccessPattern& p);
   void reset_feedback(const PatternSignature& sig, bool warm);
   void record_phase_time(double seconds);
-  /// False for a `seq` site: it runs on the caller thread, takes no pool
-  /// arbiter, and its checker pass runs serially too.
+  /// False for a `seq` site: it runs on the caller thread and takes no
+  /// pool arbiter.
   [[nodiscard]] bool on_pool() const {
     return scheme_->kind() != SchemeKind::kSeq;
   }

@@ -23,8 +23,7 @@ SchemeResult Scheme::execute_checked(const SchemePlan* plan,
                                      CheckReport* report,
                                      FaultInjector* injector, FaultSite site,
                                      CheckOp op,
-                                     SampledPositions* positions,
-                                     bool check_on_pool) const {
+                                     SampledPositions* positions) const {
   SAPP_REQUIRE(report != nullptr, "execute_checked needs a report sink");
   // One checker per thread, reused across invocations: its buffers are
   // sized by the largest dim seen, and reusing them avoids re-faulting
@@ -33,7 +32,7 @@ SchemeResult Scheme::execute_checked(const SchemePlan* plan,
   // options, so per-call rates/seeds/ops behave as if freshly constructed.
   static thread_local ReductionChecker checker{CheckerOptions{}};
   checker.configure(check, op);
-  checker.begin(in, out, check_on_pool ? &pool : nullptr, positions);
+  checker.begin(in, out, positions);
   SchemeResult r = execute(plan, in, pool, out);
   if (injector != nullptr) injector->corrupt_one(site, out);
   *report = checker.verify(out);

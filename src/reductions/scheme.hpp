@@ -115,11 +115,10 @@ class Scheme {
   /// between execution and verification (the fault-injection proof).
   /// The verdict lands in `*report` (required); a failed check leaves
   /// `out` in its corrupted state — recovery policy belongs to the caller
-  /// (AdaptiveReducer rolls back and re-executes serially). `positions`
-  /// is the caller's sampled-positions cache for this pattern (null: the
-  /// per-thread checker's own). `check_on_pool` false runs the checker's
-  /// input pass serially on the calling thread, for a caller whose
-  /// execution must not touch the pool.
+  /// (AdaptiveReducer rolls back and re-executes serially). The checker's
+  /// input pass runs on the calling thread, never on the pool.
+  /// `positions` is the caller's sampled-positions cache for this pattern
+  /// (null: the per-thread checker's own).
   SchemeResult execute_checked(const SchemePlan* plan,
                                const ReductionInput& in, ThreadPool& pool,
                                std::span<double> out,
@@ -127,8 +126,7 @@ class Scheme {
                                FaultInjector* injector = nullptr,
                                FaultSite site = FaultSite::kSchemeCombine,
                                CheckOp op = CheckOp::kSum,
-                               SampledPositions* positions = nullptr,
-                               bool check_on_pool = true) const;
+                               SampledPositions* positions = nullptr) const;
 };
 
 }  // namespace sapp

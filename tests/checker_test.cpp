@@ -9,11 +9,13 @@
 //     is detected iff its element is sampled (exact, per trial), so the
 //     aggregate detection rate is binomially distributed around the
 //     sampled fraction; N-element corruptions follow 1-(1-s)^N;
-//   * order independence — the input checksum is bitwise identical across
-//     thread counts and combine orders (serial pass vs. sharded passes of
-//     different widths).
-// Plus the wiring: a detected corruption rolls the AdaptiveReducer back to
-// the trusted serial result and demotes the decision.
+//   * replay equals scan — a check that replays a pattern's recorded
+//     sampled positions reaches the same slots, checksum and verdict,
+//     bitwise, as a fresh checker's full scan of the reference stream.
+// Plus the wiring: a parallel AdaptiveReducer site records its sampled
+// positions on the first check and replays them after, and a detected
+// corruption rolls the reducer back to the trusted serial result and
+// demotes the decision.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -70,7 +72,7 @@ void run_case_checked(const CaseParams& c, const ReductionInput& in,
     co.sample_rate = rate;
     ReductionChecker checker(co, check_op(c.op));
     std::vector<double> out(in.pattern.dim, Op::neutral());
-    checker.begin(in, out, &pool);
+    checker.begin(in, out);
     (void)scheme->run(in, pool, out);
     const CheckReport rep = checker.verify(out);
     if (!rep.passed) {
@@ -135,7 +137,7 @@ void detection_trials(double rate, int corruptions_per_trial, int trials) {
   co.sample_rate = rate;
   ReductionChecker checker(co);
   std::vector<double> correct(in.pattern.dim, 0.0);
-  checker.begin(in, correct, &pool);
+  checker.begin(in, correct);
   RepScheme<SumOp<double>> scheme;
   (void)scheme.run(in, pool, correct);
   ASSERT_TRUE(checker.verify(correct).passed);
@@ -189,7 +191,7 @@ TEST(Checker, FullRateDetectsEveryCorruption) {
   co.sample_rate = 1.0;
   ReductionChecker checker(co);
   std::vector<double> out(in.pattern.dim, 0.0);
-  checker.begin(in, out, &pool);
+  checker.begin(in, out);
   RepScheme<SumOp<double>> scheme;
   (void)scheme.run(in, pool, out);
   Rng rng(99);
@@ -201,29 +203,7 @@ TEST(Checker, FullRateDetectsEveryCorruption) {
   }
 }
 
-// --- Property 3: checksum order independence. --------------------------
-
-TEST(Checker, ChecksumBitwiseEqualAcrossThreadCountsAndCombineOrders) {
-  const ReductionInput in = detection_input();
-  for (const double rate : {0.25, 1.0}) {
-    CheckerOptions co;
-    co.enabled = true;
-    co.sample_rate = rate;
-    // Serial pass is the reference combine order.
-    ReductionChecker serial(co);
-    std::vector<double> out(in.pattern.dim, 0.0);
-    serial.begin(in, out, nullptr);
-    for (const unsigned threads : {1u, 2u, 3u, 8u}) {
-      ThreadPool pool(threads);
-      ReductionChecker sharded(co);
-      sharded.begin(in, out, &pool);
-      // Different pool widths shard (and hence associate) the fold
-      // differently; the integer state makes them all bitwise equal.
-      EXPECT_EQ(sharded.input_checksum(), serial.input_checksum())
-          << "threads " << threads << " rate " << rate;
-    }
-  }
-}
+// --- Property 3: replay is bitwise a full scan. ------------------------
 
 /// begin() on `shared` (with `pos`, a positions cache it may have seen
 /// before) and on a fresh checker: the sampled slots, the checksum and
@@ -235,9 +215,9 @@ CheckReport expect_matches_fresh(ReductionChecker& shared,
                                  SampledPositions* pos) {
   std::vector<double> out(in.pattern.dim, 0.5);
   shared.configure(co);
-  shared.begin(in, out, nullptr, pos);
+  shared.begin(in, out, pos);
   ReductionChecker fresh(co);
-  fresh.begin(in, out, nullptr);
+  fresh.begin(in, out);
   EXPECT_EQ(shared.slots_sampled(), fresh.slots_sampled());
   EXPECT_EQ(shared.input_checksum(), fresh.input_checksum());
   run_sequential(in, out);
@@ -380,7 +360,7 @@ TEST(Checker, EmptyAndUnsampledInputsPass) {
   ReductionInput in = detection_input();
   ReductionChecker none(co);
   std::vector<double> out(in.pattern.dim, 1.0);
-  none.begin(in, out, nullptr);
+  none.begin(in, out);
   EXPECT_EQ(none.slots_sampled(), 0u);
   EXPECT_TRUE(none.verify(out).passed);
   EXPECT_EQ(none.verify(out).refs_folded, 0u);
@@ -391,7 +371,7 @@ TEST(Checker, EmptyAndUnsampledInputsPass) {
   in.values.clear();
   co.sample_rate = 1.0;
   ReductionChecker empty(co);
-  empty.begin(in, out, nullptr);
+  empty.begin(in, out);
   const CheckReport rep = empty.verify(out);
   EXPECT_TRUE(rep.passed);
   EXPECT_EQ(rep.contributions, 0u);
@@ -417,13 +397,10 @@ TEST(FaultInjector, FiresExactlyOnceAndRecordsTheEvent) {
       << "corruption must clear every legal rounding tolerance";
 }
 
-// --- Wiring: rollback + demotion in the adaptive layer. ----------------
+// --- Wiring: the adaptive layer's checked executions. -----------------
 
-TEST(Checker, AdaptiveReducerRollsBackAndDemotesOnDetectedCorruption) {
-  // Once on a site small enough that the model runs it sequentially on
-  // the caller thread, once on a site it runs in parallel: an injected
-  // corruption of either venue's output is caught, rolled back and
-  // demoted alike.
+/// A site large enough that the model runs it in parallel on the pool.
+ReductionInput parallel_site_input() {
   workloads::SynthParams big;
   big.dim = 20000;
   big.distinct = 20000;
@@ -431,11 +408,49 @@ TEST(Checker, AdaptiveReducerRollsBackAndDemotesOnDetectedCorruption) {
   big.refs_per_iter = 2;
   big.body_flops = 16;
   big.seed = 525252;
+  return workloads::make_synthetic(big);
+}
+
+TEST(Checker, AdaptiveReducerParallelSiteReplaysRecordedPositions) {
+  // A site that runs on the pool is checked like any other: the first
+  // check records the sampled positions by scanning every reference, and
+  // every later one replays only those.
+  const ReductionInput in = parallel_site_input();
+  constexpr double kRate = 0.05;
+  std::size_t sampled_refs = 0;
+  for (const std::uint32_t e : in.pattern.refs.indices())
+    sampled_refs += ReductionChecker::slot_sampled(kRate, e) ? 1 : 0;
+  ASSERT_GT(sampled_refs, 0u);
+  ASSERT_LT(sampled_refs, in.pattern.num_refs());
+
+  ThreadPool pool(4);
+  AdaptiveOptions opt;
+  opt.check.enabled = true;
+  opt.check.sample_rate = kRate;
+  AdaptiveReducer red(pool, MachineCoeffs::defaults(), opt);
+  std::vector<double> out(in.pattern.dim);
+  for (int k = 1; k <= 3; ++k) {
+    SCOPED_TRACE("invocation " + std::to_string(k));
+    std::fill(out.begin(), out.end(), 0.0);
+    (void)red.invoke(in, out);
+    EXPECT_NE(red.current(), SchemeKind::kSeq);
+    EXPECT_TRUE(red.last_check().passed);
+    EXPECT_EQ(red.last_check().refs_folded,
+              k == 1 ? in.pattern.num_refs() : sampled_refs);
+  }
+  EXPECT_EQ(red.checks_run(), 3u);
+  EXPECT_EQ(red.check_failures(), 0u);
+}
+
+TEST(Checker, AdaptiveReducerRollsBackAndDemotesOnDetectedCorruption) {
+  // Once on a site small enough that the model runs it sequentially on
+  // the caller thread, once on a site it runs in parallel: an injected
+  // corruption of either venue's output is caught, rolled back and
+  // demoted alike.
   const struct {
     ReductionInput in;
     bool seq;
-  } sites[] = {{detection_input(), true},
-                {workloads::make_synthetic(big), false}};
+  } sites[] = {{detection_input(), true}, {parallel_site_input(), false}};
 
   for (const auto& site : sites) {
     SCOPED_TRACE(site.seq ? "seq site" : "parallel site");

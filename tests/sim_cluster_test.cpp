@@ -233,8 +233,11 @@ TEST(DistributedCostModel, MorePartialWorkRaisesEveryStrategy) {
   const auto a = model.predict_all(small);
   const auto b = model.predict_all(big);
   for (const auto& pb : b) {
-    for (const auto& pa : a)
-      if (pa.strategy == pb.strategy) EXPECT_GT(pb.total_s, pa.total_s);
+    for (const auto& pa : a) {
+      if (pa.strategy == pb.strategy) {
+        EXPECT_GT(pb.total_s, pa.total_s);
+      }
+    }
   }
 }
 
