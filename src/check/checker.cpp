@@ -5,6 +5,10 @@
 #include <cmath>
 #include <limits>
 
+#if defined(__x86_64__)
+#include <emmintrin.h>
+#endif
+
 #include "common/assert.hpp"
 #include "common/timer.hpp"
 
@@ -22,7 +26,14 @@ constexpr double kQuantClamp = 0x1p62;
 
 inline std::int64_t quantize(double v) {
   const double x = std::clamp(v * kQuantScale, -kQuantClamp, kQuantClamp);
+#if defined(__x86_64__)
+  // llrint's own instruction, inline: glibc's llrint is this conversion
+  // behind a libm call, which cost more than the rest of a replayed
+  // reference.
+  return _mm_cvtsd_si64(_mm_set_sd(x));
+#else
   return std::llrint(x);
+#endif
 }
 
 /// Finalizing 64-bit mixer (splitmix64 tail): the sampling predicate and
@@ -65,6 +76,12 @@ inline double i128_to_double(__int128 v) {
 inline std::uint64_t sat_add_u64(std::uint64_t a, std::uint64_t b) {
   const std::uint64_t s = a + b;
   return s < a ? std::numeric_limits<std::uint64_t>::max() : s;
+}
+
+/// |q| without overflow at INT64_MIN.
+inline std::uint64_t magnitude(std::int64_t q) {
+  return q < 0 ? static_cast<std::uint64_t>(-(q + 1)) + 1
+               : static_cast<std::uint64_t>(q);
 }
 
 /// Content fingerprint over three 64-index windows of the reference
@@ -157,8 +174,7 @@ struct Accum {
     const std::uint32_t seen = counts[slot]++;
     if (op == CheckOp::kSum) {
       const std::int64_t q = quantize(c);
-      const std::uint64_t a = q < 0 ? static_cast<std::uint64_t>(-(q + 1)) + 1
-                                    : static_cast<std::uint64_t>(q);
+      const std::uint64_t a = magnitude(q);
       if (seen == 0) {
         qsum[slot] = q;
         qabs[slot] = a;
@@ -174,7 +190,7 @@ struct Accum {
 
 /// Scan of every reference through the block map. With `record` it also
 /// appends each sampled reference (position, slot, iteration scale) in
-/// scan order: the cache fill.
+/// scan order, then stably sorts the record by slot: the cache fill.
 void fold_scan(const ReductionInput& in,
                std::span<const std::uint32_t> block_base,
                std::span<const double> scale, Accum acc,
@@ -197,15 +213,55 @@ void fold_scan(const ReductionInput& in,
       acc.add(slot, vals[j] * s);
     }
   }
+  if (record != nullptr)
+    std::stable_sort(record->begin(), record->end(),
+                     [](const SampledPositions::Ref& a,
+                        const SampledPositions::Ref& b) {
+                       return a.slot < b.slot;
+                     });
 }
 
-/// Replay of recorded positions (cache hit): the scan's contributions in
-/// the scan's order, so the state is bitwise the full scan's.
+/// Replay of recorded positions (cache hit), one slot's run at a time:
+/// the run folds in registers and its slot state is stored once. The
+/// integer sum state (count, exact sum, saturating magnitude) does not
+/// depend on the order of a slot's contributions, and the stable sort
+/// keeps each run in scan order for the min/max witness, so the state is
+/// bitwise the full scan's.
 void fold_replay(const ReductionInput& in,
                  std::span<const SampledPositions::Ref> recorded, Accum acc) {
+  using Ref = SampledPositions::Ref;
   const double* vals = in.values.data();
-  for (const SampledPositions::Ref& r : recorded)
-    acc.add(r.slot, vals[r.pos] * r.scale);
+  const Ref* r = recorded.data();
+  const Ref* const end = r + recorded.size();
+  // The value gathers are the replay's cost: a sampled reference's value
+  // seldom shares a cache line with the one before it. Prefetching
+  // kAhead references ahead keeps more of those misses in flight.
+  constexpr std::ptrdiff_t kAhead = 16;
+  const auto value = [vals, end](const Ref* at) {
+    if (end - at > kAhead) __builtin_prefetch(vals + at[kAhead].pos);
+    return vals[at->pos] * at->scale;
+  };
+  while (r != end) {
+    const Ref* const run = r;
+    const std::uint32_t slot = r->slot;
+    if (acc.op == CheckOp::kSum) {
+      __int128 qsum = 0;
+      std::uint64_t qabs = 0;
+      for (; r != end && r->slot == slot; ++r) {
+        const std::int64_t q = quantize(value(r));
+        qsum += q;
+        qabs = sat_add_u64(qabs, magnitude(q));
+      }
+      acc.qsum[slot] = qsum;
+      acc.qabs[slot] = qabs;
+    } else {
+      double w = value(r);
+      for (++r; r != end && r->slot == slot; ++r)
+        w = combine_witness(acc.op, w, value(r));
+      acc.witness[slot] = w;
+    }
+    acc.counts[slot] = static_cast<std::uint32_t>(r - run);
+  }
 }
 
 }  // namespace

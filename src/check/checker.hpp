@@ -95,8 +95,9 @@ struct CheckReport {
 ///   * the sampled positions of one access pattern: on a fold over a
 ///     pattern already seen (same Key), only the reference positions
 ///     that hit sampled blocks are replayed — O(rate·refs) instead of
-///     O(refs). The replay accumulates in the recording scan's order, so
-///     the checker state is bitwise identical to a full scan.
+///     O(refs). The record is sorted by slot, stably, so a replay folds
+///     each slot's run in registers, in the recording scan's order; the
+///     checker state is bitwise identical to a full scan.
 /// A checker keeps one of its own; a caller that checks many patterns
 /// alternately (AdaptiveReducer, one per site) passes its own to begin(),
 /// so the sites do not evict each other.
@@ -142,7 +143,7 @@ struct SampledPositions {
   /// Recorded positions, valid for `key` when `valid`.
   Key key;
   bool valid = false;
-  std::vector<Ref> refs;  ///< scan order
+  std::vector<Ref> refs;  ///< by slot; scan order within a slot
 };
 
 /// One-shot checker for a single scheme execution: snapshot + input pass

@@ -60,16 +60,16 @@ MachineCoeffs MachineCoeffs::calibrate(ThreadPool& pool) {
   }) * 2.0;  // merge reads a remote copy and writes: ~2 streams
   // 3 streams per merged element: read acc, read src, write acc.
   mc.merge_gbps = 3.0 * sizeof(double) / (mc.ns_merge / 2.0);
-  // Body cost: the per-iteration scale chain every scheme evaluates
-  // (iteration_scale), per flop. Each rep starts at an offset read through
-  // a volatile and stores every iteration's scale, so the optimizer can
-  // neither hoist the chain out of the rep loop nor drop it.
-  constexpr unsigned kBodyFlops = 16;
-  volatile std::size_t first_iter = 0;
+  // Body cost: the per-iteration scale chain, per step, timed through the
+  // dispatched body kernel in the Loop phases' kBodyBlock blocks. The
+  // chain is as long as the Fig. 3 bodies (40-56 steps): short chains
+  // overlap inside the out-of-order window and read cheaper per step
+  // than the sites' bodies run.
+  constexpr unsigned kBodyFlops = 48;
   mc.ns_flop = measure_ns(kN, [&](std::size_t n) {
-    const std::size_t i0 = first_iter;
-    for (std::size_t i = 0; i < n; ++i)
-      a[i] = iteration_scale(i0 + i, kBodyFlops);
+    for (std::size_t b = 0; b < n; b += kernels::kBodyBlock)
+      K.body(a.data() + b, b, std::min(kernels::kBodyBlock, n - b),
+             kBodyFlops);
   }) / kBodyFlops;
   std::atomic<double> acc{0.0};
   mc.ns_atomic = measure_ns(kN, [&](std::size_t n) {

@@ -27,6 +27,9 @@ struct MachineCoeffs {
   double ns_atomic = 8.0;    ///< contended atomic read-modify-write
   double ns_hash = 4.0;      ///< hash probe+accumulate
   double ns_flop = 0.7;      ///< one step of the body chain (iteration_scale)
+                             ///< as the dispatched body kernel runs it
+                             ///< (32 chains side by side on SIMD backends),
+                             ///< timed on 48-step chains
   double ns_link = 0.8;      ///< ll first-touch link maintenance
   double ns_slot = 0.5;      ///< sel slot-map indirection per reference
   double ns_inspect = 2.0;   ///< inspector work per reference (lw/sel)
@@ -39,7 +42,7 @@ struct MachineCoeffs {
   double merge_gbps = 0.0;
 
   /// Coefficients measured on this host with short micro-loops (~10 ms).
-  /// Init and Merge run through the active kernel backend
+  /// Init, Merge and the loop body run through the active kernel backend
   /// (reductions/kernels.hpp), so the predictions — and therefore the
   /// scheme ranking — track whatever ISA dispatch selected.
   static MachineCoeffs calibrate(ThreadPool& pool);

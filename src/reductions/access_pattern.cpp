@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/assert.hpp"
+#include "reductions/kernels.hpp"
 #include "reductions/reduction_op.hpp"
 
 namespace sapp {
@@ -10,15 +11,16 @@ namespace sapp {
 void run_sequential(const ReductionInput& in, std::span<double> out) {
   SAPP_REQUIRE(in.consistent(), "values/pattern size mismatch");
   SAPP_REQUIRE(out.size() == in.pattern.dim, "output size mismatch");
-  const auto& refs = in.pattern.refs;
-  const auto& ptr = refs.row_ptr();
-  const auto& idx = refs.indices();
-  const unsigned flops = in.pattern.body_flops;
-  for (std::size_t i = 0; i < refs.rows(); ++i) {
-    const double s = iteration_scale(i, flops);
-    for (std::uint64_t j = ptr[i]; j < ptr[i + 1]; ++j)
-      out[idx[j]] += in.values[j] * s;
-  }
+  const std::uint64_t* ptr = in.pattern.refs.row_ptr().data();
+  const std::uint32_t* idx = in.pattern.refs.indices().data();
+  const double* vals = in.values.data();
+  double* o = out.data();
+  kernels::for_each_scaled(
+      kernels::active(), 0, in.pattern.iterations(), in.pattern.body_flops,
+      [=](std::size_t i, double s) {
+        for (std::uint64_t j = ptr[i]; j < ptr[i + 1]; ++j)
+          o[idx[j]] += vals[j] * s;
+      });
 }
 
 std::size_t count_distinct(const AccessPattern& p) {

@@ -60,15 +60,30 @@ struct ReductionInput {
   }
 };
 
+/// Constants of the loop-body chain (`iteration_scale`); the backend body
+/// kernels (reductions/kernels.hpp) use the same ones.
+inline constexpr double kBodySeedStep = 0x1p-11;
+inline constexpr double kBodyMul = 0.9999694824218750;
+inline constexpr double kBodyAdd = 0x1p-13;
+
 /// Deterministic stand-in for the loop body's non-reduction computation:
-/// a dependent chain of `flops` multiply-adds seeded by the iteration
-/// index. Every scheme must call this exactly as the sequential code does
-/// so results are bit-comparable up to reassociation of the reduction
-/// itself. Returns a scale factor in roughly [0.5, 2).
+/// a dependent chain of `flops` multiply-then-add steps (never contracted
+/// into an FMA) seeded by `iter % 1024`. Returns a scale factor in roughly
+/// [0.5, 2).
+///
+/// This is the contract, not the execution path: the schemes and
+/// `run_sequential` evaluate it through the dispatched backend's `body`
+/// kernels, which run 32 iterations' chains side by side and must return
+/// exactly these bits (tests/kernels_test.cpp pins it on every backend).
+/// Every iteration still performs all `flops` steps — no backend may
+/// table, cache or reuse scales across the 1024-iteration period. The
+/// in-flight checker's recomputation is the one place that tables them.
+/// The differential and determinism tests compute their references with
+/// this function.
 inline double iteration_scale(std::uint64_t iter, unsigned flops) {
-  double x = 1.0 + static_cast<double>(iter % 1024) * 0x1p-11;
+  double x = 1.0 + static_cast<double>(iter % 1024) * kBodySeedStep;
   for (unsigned k = 0; k < flops; ++k) {
-    x = x * 0.9999694824218750 + 0x1p-13;  // contraction keeps x bounded
+    x = x * kBodyMul + kBodyAdd;  // a multiplier < 1 keeps x bounded
   }
   return x;
 }

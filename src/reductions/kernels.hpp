@@ -9,6 +9,13 @@
 // applications is identical whether elements advance one at a time or
 // eight per instruction.
 //
+// Every scheme's Loop phase (and `run_sequential`) also evaluates the
+// loop body — `iteration_scale`, a dependent chain of `flops`
+// multiply-then-add steps per iteration. No iteration's chain depends on
+// another's, so the `body` kernels run 32 chains side by side and hide
+// the chain's latency; each lane performs exactly the scalar steps, so
+// every scale is bitwise `iteration_scale(i, flops)`.
+//
 // A `KernelOps` table bundles one implementation of these primitives.
 // Three backends are compiled on x86-64 (scalar, AVX2, AVX-512); runtime
 // dispatch picks the widest one the CPU supports at first use, and
@@ -19,7 +26,9 @@
 // entry points plus its own combine tree; see docs/backends.md.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <string>
 #include <string_view>
@@ -46,6 +55,13 @@ enum class Backend { kScalar, kAvx2, kAvx512 };
 using FillFn = void (*)(double* dst, std::size_t n, double value);
 /// acc[i] = op(acc[i], src[i]) for i in [0, n); acc and src must not alias.
 using MergeFn = void (*)(double* acc, const double* src, std::size_t n);
+/// dst[k] = iteration_scale(first + k, flops) for k in [0, n), bitwise.
+using BodyFn = void (*)(double* dst, std::uint64_t first, std::size_t n,
+                        unsigned flops);
+/// dst[k] = iteration_scale(ids[k], flops) for k in [0, n), bitwise; the
+/// ids need not be sorted.
+using BodyIdsFn = void (*)(double* dst, const std::uint32_t* ids,
+                           std::size_t n, unsigned flops);
 
 /// One backend's kernel table. All functions accept any alignment (the
 /// vector paths use unaligned loads, which cost nothing when the buffers
@@ -59,6 +75,8 @@ struct KernelOps {
   MergeFn merge_prod = nullptr;
   MergeFn merge_min = nullptr;
   MergeFn merge_max = nullptr;
+  BodyFn body = nullptr;
+  BodyIdsFn body_ids = nullptr;
 };
 
 /// The portable backend (always compiled). On x86 its loops carry a
@@ -117,6 +135,36 @@ template <typename Op>
 inline void fill_neutral(const KernelOps& k, double* p, std::size_t n) {
   if (n == 0) return;
   k.fill(p, n, Op::neutral());
+}
+
+/// Iterations per body-kernel call in the Loop phases: the scales live in
+/// a 512-byte stack block between the kernel and the reference scatter.
+inline constexpr std::size_t kBodyBlock = 64;
+
+/// f(i, iteration_scale(i, flops)) for i in [begin, end), in order, with
+/// the scales computed kBodyBlock at a time by the backend body kernel.
+template <typename F>
+inline void for_each_scaled(const KernelOps& k, std::size_t begin,
+                            std::size_t end, unsigned flops, F&& f) {
+  double scale[kBodyBlock];
+  for (std::size_t b = begin; b < end; b += kBodyBlock) {
+    const std::size_t len = std::min(kBodyBlock, end - b);
+    k.body(scale, b, len, flops);
+    for (std::size_t q = 0; q < len; ++q) f(b + q, scale[q]);
+  }
+}
+
+/// f(ids[q], iteration_scale(ids[q], flops)) for q in [0, n), in order
+/// (the iteration-id-list form, for replicated iteration lists).
+template <typename F>
+inline void for_each_scaled_ids(const KernelOps& k, const std::uint32_t* ids,
+                                std::size_t n, unsigned flops, F&& f) {
+  double scale[kBodyBlock];
+  for (std::size_t b = 0; b < n; b += kBodyBlock) {
+    const std::size_t len = std::min(kBodyBlock, n - b);
+    k.body_ids(scale, ids + b, len, flops);
+    for (std::size_t q = 0; q < len; ++q) f(ids[b + q], scale[q]);
+  }
 }
 
 }  // namespace sapp::kernels

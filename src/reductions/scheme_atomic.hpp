@@ -5,6 +5,7 @@
 // private storage, at the cost of coherence traffic on contended elements.
 #pragma once
 
+#include "reductions/kernels.hpp"
 #include "reductions/reduction_op.hpp"
 #include "reductions/scheme.hpp"
 
@@ -21,19 +22,21 @@ class AtomicScheme final : public Scheme {
   SchemeResult execute(const SchemePlan*, const ReductionInput& in,
                        ThreadPool& pool, std::span<double> out) const override {
     SchemeResult r;
-    const auto& ptr = in.pattern.refs.row_ptr();
-    const auto& idx = in.pattern.refs.indices();
     const auto* vals = in.values.data();
     const unsigned flops = in.pattern.body_flops;
+    const kernels::KernelOps& K = kernels::active();
+    const std::uint64_t* rp = in.pattern.refs.row_ptr().data();
+    const std::uint32_t* ix = in.pattern.refs.indices().data();
     double* o = out.data();
 
     Timer t;
     pool.parallel_for(in.pattern.iterations(), [&](unsigned, Range rg) {
-      for (std::size_t i = rg.begin; i < rg.end; ++i) {
-        const double s = iteration_scale(i, flops);
-        for (std::uint64_t j = ptr[i]; j < ptr[i + 1]; ++j)
-          atomic_accumulate<Op>(o + idx[j], vals[j] * s);
-      }
+      kernels::for_each_scaled(
+          K, rg.begin, rg.end, flops,
+          [rp, ix, vals, o](std::size_t i, double s) {
+            for (std::uint64_t j = rp[i]; j < rp[i + 1]; ++j)
+              atomic_accumulate<Op>(o + ix[j], vals[j] * s);
+          });
     });
     r.phases.loop_s = t.seconds();
     return r;

@@ -8,6 +8,7 @@
 #include <memory>
 #include <mutex>
 
+#include "reductions/kernels.hpp"
 #include "reductions/reduction_op.hpp"
 #include "reductions/scheme.hpp"
 
@@ -26,23 +27,26 @@ class CriticalScheme final : public Scheme {
   SchemeResult execute(const SchemePlan*, const ReductionInput& in,
                        ThreadPool& pool, std::span<double> out) const override {
     SchemeResult r;
-    const auto& ptr = in.pattern.refs.row_ptr();
-    const auto& idx = in.pattern.refs.indices();
     const auto* vals = in.values.data();
     const unsigned flops = in.pattern.body_flops;
+    const kernels::KernelOps& K = kernels::active();
+    const std::uint64_t* rp = in.pattern.refs.row_ptr().data();
+    const std::uint32_t* ix = in.pattern.refs.indices().data();
     double* o = out.data();
     auto locks = std::make_unique<std::array<std::mutex, kStripes>>();
+    auto& stripes = *locks;
 
     Timer t;
     pool.parallel_for(in.pattern.iterations(), [&](unsigned, Range rg) {
-      for (std::size_t i = rg.begin; i < rg.end; ++i) {
-        const double s = iteration_scale(i, flops);
-        for (std::uint64_t j = ptr[i]; j < ptr[i + 1]; ++j) {
-          const std::uint32_t e = idx[j];
-          std::scoped_lock lk((*locks)[e % kStripes]);
-          o[e] = Op::apply(o[e], vals[j] * s);
-        }
-      }
+      kernels::for_each_scaled(
+          K, rg.begin, rg.end, flops,
+          [rp, ix, vals, o, &stripes](std::size_t i, double s) {
+            for (std::uint64_t j = rp[i]; j < rp[i + 1]; ++j) {
+              const std::uint32_t e = ix[j];
+              std::scoped_lock lk(stripes[e % kStripes]);
+              o[e] = Op::apply(o[e], vals[j] * s);
+            }
+          });
     });
     r.phases.loop_s = t.seconds();
     return r;

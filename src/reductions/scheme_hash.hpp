@@ -14,6 +14,7 @@
 
 #include "common/aligned.hpp"
 #include "common/compiler.hpp"
+#include "reductions/kernels.hpp"
 #include "reductions/reduction_op.hpp"
 #include "reductions/scheme.hpp"
 
@@ -118,6 +119,7 @@ class HashScheme final : public Scheme {
     const auto& idx = in.pattern.refs.indices();
     const auto* vals = in.values.data();
     const unsigned flops = in.pattern.body_flops;
+    const kernels::KernelOps& K = kernels::active();
 
     SchemeResult r;
 
@@ -141,11 +143,12 @@ class HashScheme final : public Scheme {
       const std::uint64_t* SAPP_RESTRICT rp = ptr.data();
       const std::uint32_t* SAPP_RESTRICT ix = idx.data();
       const double* SAPP_RESTRICT v = vals;
-      for (std::size_t i = rg.begin; i < rg.end; ++i) {
-        const double s = iteration_scale(i, flops);
-        for (std::uint64_t j = rp[i]; j < rp[i + 1]; ++j)
-          tb.accumulate(ix[j], v[j] * s);
-      }
+      kernels::for_each_scaled(
+          K, rg.begin, rg.end, flops,
+          [rp, ix, v, &tb](std::size_t i, double s) {
+            for (std::uint64_t j = rp[i]; j < rp[i + 1]; ++j)
+              tb.accumulate(ix[j], v[j] * s);
+          });
     });
     r.phases.loop_s = t.seconds();
 

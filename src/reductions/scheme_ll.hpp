@@ -19,6 +19,7 @@
 
 #include "common/aligned.hpp"
 #include "common/compiler.hpp"
+#include "reductions/kernels.hpp"
 #include "reductions/reduction_op.hpp"
 #include "reductions/scheme.hpp"
 
@@ -72,6 +73,7 @@ class LinkedScheme final : public Scheme {
     const auto& idx = in.pattern.refs.indices();
     const auto* vals = in.values.data();
     const unsigned flops = in.pattern.body_flops;
+    const kernels::KernelOps& K = kernels::active();
 
     SchemeResult r;
     r.private_bytes = static_cast<std::size_t>(pool.size()) * dim *
@@ -106,18 +108,19 @@ class LinkedScheme final : public Scheme {
       const std::uint64_t* SAPP_RESTRICT rp = ptr.data();
       const std::uint32_t* SAPP_RESTRICT ix = idx.data();
       const double* SAPP_RESTRICT v = vals;
-      for (std::size_t i = rg.begin; i < rg.end; ++i) {
-        const double s = iteration_scale(i, flops);
-        for (std::uint64_t j = rp[i]; j < rp[i + 1]; ++j) {
-          const std::uint32_t e = ix[j];
-          if (next[e] == kUntouched) {  // first touch: link + neutralize
-            val[e] = Op::neutral();
-            next[e] = b.head;
-            b.head = static_cast<std::int32_t>(e);
-          }
-          val[e] = Op::apply(val[e], v[j] * s);
-        }
-      }
+      kernels::for_each_scaled(
+          K, rg.begin, rg.end, flops,
+          [val, next, rp, ix, v, &b](std::size_t i, double s) {
+            for (std::uint64_t j = rp[i]; j < rp[i + 1]; ++j) {
+              const std::uint32_t e = ix[j];
+              if (next[e] == kUntouched) {  // first touch: link + neutralize
+                val[e] = Op::neutral();
+                next[e] = b.head;
+                b.head = static_cast<std::int32_t>(e);
+              }
+              val[e] = Op::apply(val[e], v[j] * s);
+            }
+          });
     });
     r.phases.loop_s = t.seconds();
 

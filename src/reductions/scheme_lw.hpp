@@ -15,6 +15,7 @@
 
 #include "common/aligned.hpp"
 #include "common/compiler.hpp"
+#include "reductions/kernels.hpp"
 #include "reductions/reduction_op.hpp"
 #include "reductions/scheme.hpp"
 
@@ -81,6 +82,7 @@ class LocalWriteScheme final : public Scheme {
     const auto& idx = in.pattern.refs.indices();
     const auto* vals = in.values.data();
     const unsigned flops = in.pattern.body_flops;
+    const kernels::KernelOps& K = kernels::active();
     const unsigned P = pool.size();
     const std::size_t blk = (dim + P - 1) / P;
 
@@ -99,15 +101,16 @@ class LocalWriteScheme final : public Scheme {
       const std::uint32_t* SAPP_RESTRICT ix = idx.data();
       const double* SAPP_RESTRICT v = vals;
       double* SAPP_RESTRICT o = out.data();
-      for (std::size_t q = 0; q < my_count; ++q) {
-        const std::uint32_t i = my_iters[q];
-        const double s = iteration_scale(i, flops);  // replicated body work
-        for (std::uint64_t j = rp[i]; j < rp[i + 1]; ++j) {
-          const std::uint32_t e = ix[j];
-          // Single-compare ownership test: e in [lo, hi) iff e-lo < len.
-          if (e - lo < len) o[e] = Op::apply(o[e], v[j] * s);
-        }
-      }
+      // Every replica runs the body again: replicated body work.
+      kernels::for_each_scaled_ids(
+          K, my_iters, my_count, flops,
+          [rp, ix, v, o, lo, len](std::uint32_t i, double s) {
+            for (std::uint64_t j = rp[i]; j < rp[i + 1]; ++j) {
+              const std::uint32_t e = ix[j];
+              // Single-compare ownership test: e in [lo, hi) iff e-lo < len.
+              if (e - lo < len) o[e] = Op::apply(o[e], v[j] * s);
+            }
+          });
     });
     r.phases.loop_s = t.seconds();
     return r;

@@ -98,13 +98,14 @@ class RepScheme final : public Scheme {
       const std::uint64_t* SAPP_RESTRICT rp = ptr.data();
       const std::uint32_t* SAPP_RESTRICT ix = idx.data();
       const double* SAPP_RESTRICT v = vals;
-      for (std::size_t i = rg.begin; i < rg.end; ++i) {
-        const double s = iteration_scale(i, flops);
-        for (std::uint64_t j = rp[i]; j < rp[i + 1]; ++j) {
-          const std::uint32_t e = ix[j];
-          mine[e] = Op::apply(mine[e], v[j] * s);
-        }
-      }
+      kernels::for_each_scaled(
+          K, rg.begin, rg.end, flops,
+          [mine, rp, ix, v](std::size_t i, double s) {
+            for (std::uint64_t j = rp[i]; j < rp[i + 1]; ++j) {
+              const std::uint32_t e = ix[j];
+              mine[e] = Op::apply(mine[e], v[j] * s);
+            }
+          });
     });
     r.phases.loop_s = t.seconds();
 

@@ -122,18 +122,19 @@ class SelectiveScheme final : public Scheme {
       const std::uint64_t* SAPP_RESTRICT rp = ptr.data();
       const std::uint32_t* SAPP_RESTRICT ix = idx.data();
       const double* SAPP_RESTRICT v = vals;
-      for (std::size_t i = rg.begin; i < rg.end; ++i) {
-        const double s = iteration_scale(i, flops);
-        for (std::uint64_t j = rp[i]; j < rp[i + 1]; ++j) {
-          const std::uint32_t e = ix[j];
-          const std::int32_t sl = slot[e];
-          const double contrib = v[j] * s;
-          if (sl >= 0)
-            mine[sl] = Op::apply(mine[sl], contrib);
-          else  // exclusive to this thread under the block schedule
-            out[e] = Op::apply(out[e], contrib);
-        }
-      }
+      kernels::for_each_scaled(
+          K, rg.begin, rg.end, flops,
+          [mine, slot, rp, ix, v, o = out.data()](std::size_t i, double s) {
+            for (std::uint64_t j = rp[i]; j < rp[i + 1]; ++j) {
+              const std::uint32_t e = ix[j];
+              const std::int32_t sl = slot[e];
+              const double contrib = v[j] * s;
+              if (sl >= 0)
+                mine[sl] = Op::apply(mine[sl], contrib);
+              else  // exclusive to this thread under the block schedule
+                o[e] = Op::apply(o[e], contrib);
+            }
+          });
     });
     r.phases.loop_s = t.seconds();
 

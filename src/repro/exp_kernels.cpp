@@ -1,21 +1,25 @@
 // Kernel-backend ablation:
-//   kernels — scalar vs SIMD Init/Merge primitives on the Fig. 3 sizes.
+//   kernels — scalar vs SIMD Init/Merge/body primitives on the Fig. 3 sizes.
 //
-// The schemes' Init and Merge phases run on the dispatched kernel backend
-// (reductions/kernels.hpp). This experiment isolates those primitives:
-// for every distinct reduction dimension of the Fig. 3 table and every
-// backend usable on this host, it measures the neutral-fill and the
-// sum-merge, reports per-element times and effective merge bandwidth, and
-// verifies that every backend's merge is bitwise identical to scalar's
-// (the backends vectorize without reassociating, so this must hold
-// exactly). CI gates on `simd_merge_speedup` when a SIMD backend exists.
+// The schemes' Init and Merge phases and every Loop phase's body run on
+// the dispatched kernel backend (reductions/kernels.hpp). This experiment
+// isolates those primitives: for every distinct reduction dimension of
+// the Fig. 3 table and every backend usable on this host, it measures the
+// neutral-fill and the sum-merge, reports per-element times and effective
+// merge bandwidth; for the loop body it reports ns per iteration-step at
+// the Fig. 3 body lengths 8 and 56. It verifies that every backend's
+// merge and body scales are bitwise identical to scalar's (the backends
+// vectorize without reassociating, so this must hold exactly). CI gates
+// on `simd_merge_speedup` when a SIMD backend exists.
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "common/aligned.hpp"
+#include "reductions/access_pattern.hpp"
 #include "reductions/kernels.hpp"
 #include "repro/registry.hpp"
 #include "workloads/paramsets.hpp"
@@ -95,8 +99,57 @@ ExperimentResult run_kernels(RunContext& ctx) {
                  round_to(speedup, 2)});
     }
   }
+
+  // Loop body: the scheme Loop phases' shape, kBodyBlock scales per call.
+  // The bitwise check covers both forms, the id form on a shuffled list.
+  ResultTable body("body_kernel",
+                   {"Backend", "ISA", "Flops", "ns/iter-step",
+                    "Speedup vs scalar"});
+  const std::size_t iters = ctx.tiny() ? 4096 : 65536;
+  AlignedBuffer<double> scales(iters), body_ref(iters);
+  std::vector<std::uint32_t> ids(iters);
+  for (std::size_t i = 0; i < iters; ++i)
+    ids[i] = static_cast<std::uint32_t>((i * 2654435761u) % (iters * 7));
+  for (const unsigned flops : {8u, 56u}) {
+    double scalar_ns = 0.0;
+    for (std::size_t bi = 0; bi < backends.size(); ++bi) {
+      SAPP_REQUIRE(kernels::set_backend(backends[bi]),
+                   "usable backend refused by set_backend");
+      const kernels::KernelOps& K = kernels::active();
+      const auto run_range = [&] {
+        for (std::size_t b = 0; b < iters; b += kernels::kBodyBlock)
+          K.body(scales.data() + b, b,
+                 std::min(kernels::kBodyBlock, iters - b), flops);
+      };
+      const double ns = ctx.measure([&] {
+        return seconds_per_call(run_range) * 1e9 /
+               static_cast<double>(iters * flops);
+      });
+      if (backends[bi] == kernels::Backend::kScalar) scalar_ns = ns;
+      run_range();
+      const bool range_equal =
+          backends[bi] == kernels::Backend::kScalar ||
+          std::memcmp(body_ref.data(), scales.data(),
+                      iters * sizeof(double)) == 0;
+      if (backends[bi] == kernels::Backend::kScalar)
+        std::memcpy(body_ref.data(), scales.data(), iters * sizeof(double));
+      K.body_ids(scales.data(), ids.data(), iters, flops);
+      bool ids_equal = true;
+      for (std::size_t i = 0; i < iters && ids_equal; ++i)
+        ids_equal = std::bit_cast<std::uint64_t>(scales[i]) ==
+                    std::bit_cast<std::uint64_t>(
+                        iteration_scale(ids[i], flops));
+      if (!range_equal || !ids_equal) all_bitwise_equal = false;
+      body.add_row({std::string(K.name), std::string(K.isa),
+                    static_cast<double>(flops), round_to(ns, 4),
+                    round_to(ns > 0.0 && scalar_ns > 0.0 ? scalar_ns / ns
+                                                         : 1.0,
+                             2)});
+    }
+  }
   kernels::set_backend(original);
   res.tables.push_back(std::move(t));
+  res.tables.push_back(std::move(body));
 
   res.metric("sizes", static_cast<double>(sizes.size()));
   res.metric("backends", static_cast<double>(backends.size()));
@@ -119,6 +172,11 @@ ExperimentResult run_kernels(RunContext& ctx) {
   res.note("Merge GB/s counts 3 streams per element (read acc + read src + "
            "write acc). All backends must agree bitwise: the merge kernels "
            "vectorize without reassociating.");
+  res.note("body_kernel: ns per step of the loop-body chain "
+           "(iteration_scale), computed 64 iterations per call as the Loop "
+           "phases do. The SIMD kernels run 32 chains side by side; "
+           "backends_bitwise_equal also requires every body scale to equal "
+           "scalar's.");
   return res;
 }
 
@@ -129,8 +187,8 @@ void register_kernel_experiments(ExperimentRegistry& r) {
          .title = "kernel backend ablation (scalar vs SIMD)",
          .paper_ref = "ablation (§4 software schemes)",
          .description =
-             "Measure the Init/Merge kernel primitives under every usable "
-             "backend on the Fig. 3 reduction sizes; verify bitwise "
+             "Measure the Init/Merge/body kernel primitives under every "
+             "usable backend on the Fig. 3 reduction sizes; verify bitwise "
              "agreement and report SIMD-vs-scalar merge speedup.",
          .default_scale = 0.3,
          .run = run_kernels});

@@ -291,6 +291,35 @@ TEST(Checker, SampledPositionsReplayIsBitwiseAFullScan) {
   }
 }
 
+TEST(Checker, SampledPositionsReplayKeepsMinMaxWitnessesBitwise) {
+  // A replay folds each slot's recorded run in the scan's order, so the
+  // order-sensitive min/max witness stays bitwise a full scan's. Signed
+  // zeros make the order visible: min(+0, -0) keeps whichever came first,
+  // and the input checksum hashes the witness bits.
+  ReductionInput in = detection_input();
+  for (std::size_t j = 0; j < in.values.size(); j += 3)
+    in.values[j] = (j / 3) % 2 == 0 ? 0.0 : -0.0;
+  CheckerOptions co;
+  co.enabled = true;
+  co.sample_rate = 0.25;
+  const std::vector<double> out(in.pattern.dim, 0.5);
+  for (const CheckOp op : {CheckOp::kMin, CheckOp::kMax}) {
+    SCOPED_TRACE(std::string(to_string(op)));
+    ReductionChecker shared(co, op);
+    SampledPositions pos;
+    for (int round = 0; round < 3; ++round) {
+      shared.configure(co, op);
+      shared.begin(in, out, &pos);
+      ReductionChecker fresh(co, op);
+      fresh.begin(in, out);
+      EXPECT_EQ(shared.input_checksum(), fresh.input_checksum())
+          << "round " << round;
+      EXPECT_EQ(shared.verify(out).refs_folded,
+                round == 0 ? in.pattern.num_refs() : pos.refs.size());
+    }
+  }
+}
+
 TEST(Checker, CachedSelectionFollowsDimAndRateChanges) {
   // One positions cache sees a dim change, then a rate change; each new
   // (dim, rate) must rebuild the block selection and re-record, and each

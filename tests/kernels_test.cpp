@@ -5,6 +5,10 @@
 //   * every compiled+usable backend's fill/merge matches a plain C++ loop
 //     bitwise on every length (SIMD main loops, unrolled bodies and tail
 //     handling included) and on adversarial values (NaN, +-0, +-inf);
+//   * every backend's body kernels match iteration_scale bitwise on every
+//     length, across the 1024-iteration period and for ids >= 2^31, and
+//     write nothing past the block; every scheme's output is bitwise the
+//     same under every backend on Fig. 3 rows;
 //   * AlignedBuffer delivers 64-byte storage (the backends' assumption);
 //   * CombineSchedule partitions [0, P) exactly, the grouped rep/sel merge
 //     is deterministic, agrees with the flat merge under the summation
@@ -23,8 +27,10 @@
 #include "common/topology.hpp"
 #include "differential_cases.hpp"
 #include "reductions/kernels.hpp"
+#include "reductions/registry.hpp"
 #include "reductions/scheme_rep.hpp"
 #include "reductions/scheme_sel.hpp"
+#include "workloads/paramsets.hpp"
 
 namespace sapp {
 namespace {
@@ -143,6 +149,15 @@ TEST(Kernels, EveryBackendMatchesTheReferenceBitwiseOnEveryLength) {
   acc0[9] = +0.0;  src[9] = -0.0;
   acc0[17] = inf;  src[18] = -inf;
   acc0[33] = qnan; src[33] = qnan;
+  // Unsorted iteration ids for body_ids, ids >= 2^31 included (the
+  // kernels treat them as signed 32-bit lanes before masking the period).
+  std::vector<std::uint32_t> ids(kMax);
+  for (std::size_t i = 0; i < kMax; ++i)
+    ids[i] = static_cast<std::uint32_t>(rng.uniform(0.0, 4294967295.0));
+  ids[0] = 0x80000000u;
+  ids[1] = 0xFFFFFFFFu;
+  ids[2] = 1023;
+  ids[3] = 1024;
 
   for (const Backend b : kernels::usable_backends()) {
     const kernels::KernelOps* k = nullptr;
@@ -172,8 +187,73 @@ TEST(Kernels, EveryBackendMatchesTheReferenceBitwiseOnEveryLength) {
             << kernels::to_string(b) << " merge op="
             << static_cast<int>(op) << " n=" << n;
       }
+      // body: dst[k] = iteration_scale(first + k, flops) bitwise, and not
+      // one store past dst[n - 1] (the vector kernels store full blocks
+      // through lane masks). The firsts straddle multiples of 1024 — the
+      // seed period — and the 2^32 wrap of the kernels' 32-bit seeds.
+      constexpr double kGuard = -7.0;
+      for (const unsigned flops : {0u, 1u, 7u, 48u, 56u, 200u}) {
+        for (const std::uint64_t first :
+             {std::uint64_t{0}, std::uint64_t{1000}, std::uint64_t{1023},
+              std::uint64_t{4090}, (std::uint64_t{1} << 32) - 30,
+              (std::uint64_t{5} << 31) + 1001}) {
+          for (std::size_t i = 0; i < kMax; ++i) got[i] = kGuard;
+          k->body(got.data(), first, n, flops);
+          for (std::size_t i = 0; i < kMax; ++i)
+            want[i] = i < n ? iteration_scale(first + i, flops) : kGuard;
+          EXPECT_EQ(
+              std::memcmp(got.data(), want.data(), kMax * sizeof(double)), 0)
+              << kernels::to_string(b) << " body n=" << n
+              << " first=" << first << " flops=" << flops;
+        }
+        // body_ids over an unsorted list, ids >= 2^31 included.
+        for (std::size_t i = 0; i < kMax; ++i) got[i] = kGuard;
+        k->body_ids(got.data(), ids.data(), n, flops);
+        for (std::size_t i = 0; i < kMax; ++i)
+          want[i] = i < n ? iteration_scale(ids[i], flops) : kGuard;
+        EXPECT_EQ(
+            std::memcmp(got.data(), want.data(), kMax * sizeof(double)), 0)
+            << kernels::to_string(b) << " body_ids n=" << n
+            << " flops=" << flops;
+      }
     }
   }
+}
+
+TEST(Kernels, EverySchemeIsBitwiseEqualAcrossBackendsOnFig3Rows) {
+  // Three Fig. 3 rows with different body lengths (8, 40 and 56 flops).
+  // atomic and critical combine in thread-arrival order, so they run on
+  // one thread to be deterministic; the other schemes run on three.
+  const auto rows = workloads::fig3_rows(0.05);
+  ThreadPool pool1(1), pool3(3);
+  const kernels::Backend original = kernels::active_backend();
+  for (const std::size_t r : {0u, 8u, 14u}) {
+    const ReductionInput& in = rows[r].workload.input;
+    for (const SchemeKind kind : all_scheme_kinds()) {
+      const auto scheme = make_scheme(kind);
+      if (!scheme->applicable(in.pattern)) continue;
+      ThreadPool& pool =
+          kind == SchemeKind::kAtomic || kind == SchemeKind::kCritical
+              ? pool1
+              : pool3;
+      std::vector<double> ref;
+      for (const Backend b : kernels::usable_backends()) {
+        ASSERT_TRUE(kernels::set_backend(b));
+        std::vector<double> out(in.pattern.dim, 0.0);
+        (void)scheme->run(in, pool, out);
+        if (ref.empty()) {
+          ref = std::move(out);
+          continue;
+        }
+        EXPECT_EQ(std::memcmp(out.data(), ref.data(),
+                              ref.size() * sizeof(double)),
+                  0)
+            << in.pattern.loop_id << " row " << r << " "
+            << to_string(kind) << " under " << kernels::to_string(b);
+      }
+    }
+  }
+  ASSERT_TRUE(kernels::set_backend(original));
 }
 
 TEST(Kernels, MergeFnMapsOperatorsAndFillNeutralFills) {
