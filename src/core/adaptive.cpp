@@ -1,28 +1,15 @@
 #include "core/adaptive.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/assert.hpp"
 #include "common/timer.hpp"
 
 namespace sapp {
 
-namespace {
-double median_of(std::vector<double> xs) {
-  if (xs.empty()) return 0.0;
-  const auto mid = xs.begin() + static_cast<std::ptrdiff_t>(xs.size() / 2);
-  std::nth_element(xs.begin(), mid, xs.end());
-  return *mid;
-}
-}  // namespace
-
 AdaptiveReducer::AdaptiveReducer(ThreadPool& pool, MachineCoeffs coeffs,
                                  AdaptiveOptions opt)
-    : pool_(pool),
-      coeffs_(coeffs),
-      opt_(opt),
-      monitor_(opt.monitor) {}
+    : pool_(pool), coeffs_(coeffs), opt_(opt) {}
 
 AdaptiveReducer::~AdaptiveReducer() = default;
 
@@ -33,26 +20,10 @@ SchemeKind AdaptiveReducer::current() const {
 
 void AdaptiveReducer::warm_start(CachedDecision cached) {
   SAPP_REQUIRE(scheme_ == nullptr, "warm_start after the first invocation");
+  // The site served these submits whether or not the entry is adopted, so
+  // its lifetime count (what the next snapshot records) only ever grows.
+  invocations_base_ = cached.invocations;
   warm_ = std::move(cached);
-}
-
-/// Shared post-(re)decision epilogue of the cold and warm adoption paths.
-void AdaptiveReducer::reset_feedback(const PatternSignature& sig, bool warm) {
-  monitor_.rebase(sig);
-  overruns_ = 0;
-  abandoned_.clear();
-  fastest_measured_s_ = std::numeric_limits<double>::infinity();
-  fastest_scheme_ = scheme_->kind();
-  warm_started_ = warm;
-  phase_history_.clear();  // the history describes the previous decision
-  if (!warm) invocations_base_ = 0;  // fresh evidence supersedes the cache
-}
-
-void AdaptiveReducer::record_phase_time(double seconds) {
-  if (!(seconds > 0.0)) return;
-  if (phase_history_.size() >= DecisionCache::kMaxPhaseHistory)
-    phase_history_.erase(phase_history_.begin());
-  phase_history_.push_back(seconds);
 }
 
 void AdaptiveReducer::characterize_and_decide(const AccessPattern& p) {
@@ -70,7 +41,9 @@ void AdaptiveReducer::characterize_and_decide(const AccessPattern& p) {
     decision_.recommended = SchemeKind::kSelective;
   adopt(decision_.recommended, p);
   ++recharacterizations_;
-  reset_feedback(PatternSignature::of(p), /*warm=*/false);
+  monitor_.rebase(PatternSignature::of(p));
+  trial_.begin(decision_.recommended, decision_.predictions);
+  warm_started_ = false;
 }
 
 void AdaptiveReducer::adopt(SchemeKind kind, const AccessPattern& p) {
@@ -130,10 +103,10 @@ SchemeResult AdaptiveReducer::invoke(const ReductionInput& in,
   Timer inspect_timer;
   if (scheme_ == nullptr) {
     // Warm start: adopt the cached scheme when the first observed pattern
-    // still matches the signature it was learned for; characterization and
-    // the cost-model decision are skipped entirely. The cached prediction
-    // (when recorded) keeps the mispredict feedback loop armed, and the
-    // cached evidence/rationale carry forward into the next snapshot.
+    // still matches the signature it was learned for; characterization,
+    // the cost-model decision and the trial are skipped entirely. The
+    // cached minimum arms the timing demotion from the first window, so a
+    // cache that this host or input contradicts is demoted within it.
     const PatternSignature sig = PatternSignature::of(in.pattern);
     if (warm_.has_value() &&
         DecisionCache::matches(*warm_, sig, pool_.size(),
@@ -149,24 +122,9 @@ SchemeResult AdaptiveReducer::invoke(const ReductionInput& in,
                     std::string(to_string(warm_->scheme)) +
                     "' from the decision cache"
               : warm_->rationale;
-      if (warm_->predicted_total_s > 0.0) {
-        CostPrediction cp;
-        cp.scheme = warm_->scheme;
-        cp.loop_s = warm_->predicted_total_s;  // total() == cached value
-        decision_.predictions.push_back(cp);
-      }
-      invocations_base_ = warm_->invocations;
-      reset_feedback(sig, /*warm=*/true);
-      // Arm the time-drift detector from the persisted phase history: the
-      // baseline is measured evidence, not a model prediction, and no
-      // warmup is taken — a cache whose history contradicts what this
-      // host/input actually measures is demoted within the first
-      // monitored window instead of being trusted until it overruns the
-      // (possibly absent) prediction.
-      if (!warm_->phase_times_s.empty()) {
-        monitor_.seed_time_baseline(median_of(warm_->phase_times_s));
-        phase_history_ = warm_->phase_times_s;  // carry forward on re-save
-      }
+      monitor_.rebase(sig);
+      trial_.settle(warm_->scheme, warm_->min_time_s);
+      warm_started_ = true;
     } else {
       characterize_and_decide(in.pattern);
     }
@@ -183,67 +141,26 @@ SchemeResult AdaptiveReducer::invoke(const ReductionInput& in,
     // The scheme's combine was provably wrong (output already rolled back
     // and recomputed serially in execute_current). Correctness evidence
     // outranks every timing signal: demote the decision and re-characterize
-    // now, and keep the bogus measurement out of the phase history and the
-    // mispredict/time feedback.
+    // now, and keep the bogus measurement out of the trial.
     last_check_failed_ = false;
     characterize_and_decide(in.pattern);
     return r;
   }
 
-  record_phase_time(r.total_s());
-  if (r.total_s() < fastest_measured_s_) {
-    fastest_measured_s_ = r.total_s();
-    fastest_scheme_ = scheme_->kind();
-  }
-
-  // Time-drift demotion: the EWMA of measured times has moved away from
-  // the baseline this decision was adopted under (or from the persisted
-  // history on a warm start) for a sustained stretch — the input is in a
-  // new phase, so the decision is demoted and the site re-characterizes.
-  // Takes effect from the next invocation, like a mispredict switch.
-  if (monitor_.observe_time(r.total_s())) {
-    ++time_demotions_;
-    characterize_and_decide(in.pattern);
-    return r;
-  }
-
-  // Feedback: compare measured against the model's prediction for the
-  // selected scheme; persistent overruns promote the runner-up.
-  double predicted = 0.0;
-  for (const auto& cp : decision_.predictions)
-    if (cp.scheme == scheme_->kind()) predicted = cp.total();
-  if (predicted > 0.0 && r.total_s() > kMispredictRatio * predicted) {
-    if (++overruns_ >= opt_.mispredict_patience) {
-      // The model was wrong about this scheme here: blacklist it and move
-      // to the best not-yet-tried alternative (no ping-pong). The loop
-      // trusts a prediction only to within kMispredictRatio, so the
-      // alternative must beat the fastest time measured here even if it
-      // overran its own prediction that much. With none, settle on the
-      // fastest scheme measured since the site decided.
-      const SchemeKind cur = scheme_->kind();
-      const auto next =
-          next_runner_up(decision_.predictions, abandoned_, cur,
-                         fastest_measured_s_ / kMispredictRatio);
-      const SchemeKind to = next && *next != cur ? *next : fastest_scheme_;
-      if (!next && warm_started_) {
-        // A warm start's cache carried only the one prediction, so no
-        // alternative was ever ranked. Fresh evidence beats a stale
-        // decision: re-characterize and re-decide (mispredict_patience
-        // throttles how often this fires).
-        characterize_and_decide(in.pattern);
-      } else if (to != cur) {
-        abandoned_.push_back(cur);
-        adopt(to, in.pattern);
-        ++switches_;
-        // The old scheme's time baseline (and history) say nothing
-        // about the new scheme.
-        monitor_.reset_time();
-        phase_history_.clear();
-      }
-      overruns_ = 0;
-    }
-  } else {
-    overruns_ = 0;
+  // The measured feedback, applied from the next invocation: a trial move
+  // (or the settle move back to the fastest scheme timed), or a timing
+  // demotion of the kept scheme.
+  switch (trial_.observe(scheme_->kind(), r.total_s())) {
+    case SchemeTrial::Verdict::kKeep:
+      break;
+    case SchemeTrial::Verdict::kSwitch:
+      if (!trial_.settled()) ++switches_;
+      adopt(trial_.scheme(), in.pattern);
+      break;
+    case SchemeTrial::Verdict::kDemote:
+      ++time_demotions_;
+      characterize_and_decide(in.pattern);
+      break;
   }
   return r;
 }

@@ -7,50 +7,46 @@
 //     model or rule taxonomy) — on the model path the sequential venue
 //     competes too, so a site too small to amortize a parallel region
 //     runs `seq` on the caller thread — build its inspector plan, execute;
+//   * after every decision, a bounded measured trial (SchemeTrial): the
+//     pick and at most two of the model's near runner-ups run a few
+//     invocations each, and the site keeps the one with the lowest
+//     minimum — the Fig. 1 "monitor performance and adapt" loop realized
+//     as library code;
 //   * later invocations: reuse scheme + plan while the pattern is stable;
-//   * drift (PhaseMonitor) — pattern-fingerprint accumulation *or* a
-//     sustained shift of the measured-time EWMA away from the baseline the
-//     current decision was made under — demotes the decision and triggers
-//     re-characterization;
-//   * sustained mispredictions (measured ≫ predicted) trigger a switch to
-//     the runner-up scheme — the Fig. 1 "monitor performance and adapt"
-//     feedback loop realized as library code.
+//   * demotion — pattern-fingerprint drift (PhaseMonitor), the kept
+//     scheme's windowed minimum leaving its settled band (SchemeTrial), or
+//     a failed in-flight check — re-characterizes and re-decides.
 //
-// The reducer keeps a bounded ring of measured per-invocation phase times;
-// `sapp::Runtime` persists it in the decision cache, and a warm start
-// seeds the time-drift baseline from that history so the feedback loop
-// survives process restarts armed (docs/adaptivity.md walks the full
-// lifecycle).
+// `sapp::Runtime` persists the settled minimum in the decision cache, so a
+// warm start adopts the trial winner with its baseline armed and never
+// re-trials (docs/adaptivity.md walks the full lifecycle).
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
-#include <vector>
 
 #include "check/checker.hpp"
 #include "check/fault_injector.hpp"
 #include "core/decision.hpp"
 #include "core/decision_cache.hpp"
 #include "core/phase_monitor.hpp"
+#include "core/trial.hpp"
 #include "reductions/registry.hpp"
 
 namespace sapp {
 
 /// Tunables of the adaptive loop. Characterization and the rule decider
 /// run with their defaults (CharacterizeOptions, RuleThresholds); the
-/// warm-start match tolerance is DecisionCache::kWarmMatchTolerance.
+/// drift and trial rules are the constants of PhaseMonitor and
+/// SchemeTrial, and the warm-start match tolerance is
+/// DecisionCache::kWarmMatchTolerance.
 struct AdaptiveOptions {
-  /// Use the rule taxonomy instead of the cost model (ablation).
+  /// Use the rule taxonomy instead of the cost model (ablation). It ranks
+  /// no predictions, so its pick is never trialled against a runner-up.
   bool use_rule_decider = false;
-  /// Consecutive mispredictions before switching to the runner-up.
-  int mispredict_patience = 3;
-  /// Drift detector knobs: the pattern-drift threshold and the time
-  /// detector's patience.
-  PhaseMonitorOptions monitor{};
   /// In-flight probabilistic result checking (src/check, docs/checking.md):
   /// when enabled every invocation validates the scheme's combine against
   /// an independent input-stream checksum. A failed check rolls the output
@@ -81,9 +77,10 @@ class AdaptiveReducer {
   /// Offer a cached decision for adoption on the first invocation. If the
   /// first observed pattern matches the cached signature (within
   /// `DecisionCache::kWarmMatchTolerance`) the reducer adopts the
-  /// cached scheme directly and skips characterization and the cost-model
-  /// decision; otherwise it falls back to the cold path. Must be called
-  /// before the first invoke.
+  /// cached scheme directly, settled at the cached minimum, and skips
+  /// characterization, the cost-model decision and the trial; otherwise
+  /// it falls back to the cold path. Must be called before the first
+  /// invoke.
   void warm_start(CachedDecision cached);
 
   /// Serialize the shared-pool phases (Scheme::execute) on `mu` so
@@ -101,29 +98,29 @@ class AdaptiveReducer {
   [[nodiscard]] const PatternStats& stats() const { return stats_; }
   /// Drift monitor (exposes the base/last pattern signatures).
   [[nodiscard]] const PhaseMonitor& monitor() const { return monitor_; }
+  /// Measured trial and timing demotion (exposes the settled baseline).
+  [[nodiscard]] const SchemeTrial& trial() const { return trial_; }
 
   [[nodiscard]] unsigned invocations() const { return invocations_; }
-  /// Invocations including the evidence inherited from the decision cache
-  /// on a warm start — what the next snapshot should record, so repeated
-  /// warm restarts accumulate provenance instead of resetting it.
+  /// Invocations including those the decision cache recorded for this
+  /// site before — what the next snapshot should record, so repeated warm
+  /// restarts (and later re-decisions) accumulate provenance instead of
+  /// resetting it. It only ever grows, so of two snapshots of one site
+  /// the one with more lifetime invocations is the newer.
   [[nodiscard]] std::uint64_t lifetime_invocations() const {
     return invocations_base_ + invocations_;
   }
   [[nodiscard]] unsigned recharacterizations() const {
     return recharacterizations_;
   }
+  /// Runner-ups trialled (at most SchemeTrial::kMaxAlternatives per
+  /// decision; settling back on a scheme already timed is part of the
+  /// trial, not another switch).
   [[nodiscard]] unsigned scheme_switches() const { return switches_; }
-  /// Re-characterizations forced by the time-drift detector specifically
-  /// (a subset of recharacterizations()).
+  /// Re-characterizations forced by the timing demotion specifically (a
+  /// subset of recharacterizations()).
   [[nodiscard]] unsigned time_drift_demotions() const {
     return time_demotions_;
-  }
-  /// Measured per-invocation phase times under the current scheme since
-  /// the last re-characterization (oldest first, bounded by
-  /// DecisionCache::kMaxPhaseHistory; a warm start inherits the cached
-  /// history). This is what Runtime::snapshot_decisions persists.
-  [[nodiscard]] const std::vector<double>& phase_history() const {
-    return phase_history_;
   }
   /// True when the current scheme was adopted from a decision cache
   /// without characterizing (reset by the next re-characterization).
@@ -138,13 +135,8 @@ class AdaptiveReducer {
   [[nodiscard]] const CheckReport& last_check() const { return last_check_; }
 
  private:
-  /// Measured/predicted overrun that counts as a misprediction.
-  static constexpr double kMispredictRatio = 2.0;
-
   void characterize_and_decide(const AccessPattern& p);
   void adopt(SchemeKind kind, const AccessPattern& p);
-  void reset_feedback(const PatternSignature& sig, bool warm);
-  void record_phase_time(double seconds);
   /// False for a `seq` site: it runs on the caller thread and takes no
   /// pool arbiter.
   [[nodiscard]] bool on_pool() const {
@@ -159,6 +151,7 @@ class AdaptiveReducer {
   MachineCoeffs coeffs_;
   AdaptiveOptions opt_;
   PhaseMonitor monitor_;
+  SchemeTrial trial_;
   std::mutex* pool_mu_ = nullptr;
   std::optional<CachedDecision> warm_;
 
@@ -166,22 +159,11 @@ class AdaptiveReducer {
   std::unique_ptr<SchemePlan> plan_;
   Decision decision_{};
   PatternStats stats_{};
-  /// Schemes abandoned after sustained overruns since the last
-  /// re-characterization (never returned to without new evidence).
-  std::vector<SchemeKind> abandoned_;
-  /// Fastest invocation any scheme measured since the last
-  /// re-characterization, and the scheme that ran it: a runner-up must be
-  /// predicted to beat it, by kMispredictRatio, before the mispredict loop
-  /// switches to it, and the loop settles back on that scheme when no
-  /// runner-up can.
-  double fastest_measured_s_ = std::numeric_limits<double>::infinity();
-  SchemeKind fastest_scheme_ = SchemeKind::kSeq;
 
   unsigned invocations_ = 0;
   unsigned recharacterizations_ = 0;
   unsigned switches_ = 0;
   unsigned time_demotions_ = 0;
-  int overruns_ = 0;
   bool warm_started_ = false;
   std::uint64_t checks_run_ = 0;
   std::uint64_t check_failures_ = 0;
@@ -191,10 +173,8 @@ class AdaptiveReducer {
   /// positions): the per-thread checker is shared by every site a thread
   /// submits to, so its own cache would thrash.
   SampledPositions check_positions_;
-  /// Invocation evidence inherited from the cache entry on a warm start.
+  /// Invocations the cache entry offered to this site recorded.
   std::uint64_t invocations_base_ = 0;
-  /// Bounded ring of measured phase times (see phase_history()).
-  std::vector<double> phase_history_;
 };
 
 }  // namespace sapp

@@ -48,22 +48,6 @@ void add_sequential_venue(Decision& d, const PatternStats& stats,
   d.rationale = model_rationale(ranked);
 }
 
-std::optional<SchemeKind> next_runner_up(
-    std::span<const CostPrediction> ranked,
-    std::span<const SchemeKind> abandoned, SchemeKind current,
-    double beat_s) {
-  for (const CostPrediction& cp : ranked) {
-    if (!cp.applicable || cp.scheme == current ||
-        std::find(abandoned.begin(), abandoned.end(), cp.scheme) !=
-            abandoned.end())
-      continue;
-    // Ranked cheapest first: if the best untried scheme cannot beat
-    // beat_s, none can.
-    return cp.total() < beat_s ? cp.scheme : current;
-  }
-  return std::nullopt;
-}
-
 Decision decide_rules(const PatternStats& s, const RuleThresholds& th) {
   Decision d;
   std::ostringstream why;

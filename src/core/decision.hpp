@@ -9,8 +9,6 @@
 //    (`sapp_repro ablation_decision`) and as documentation of the taxonomy.
 #pragma once
 
-#include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -37,21 +35,10 @@ struct Decision {
 /// pool) into a cost-model decision's predictions, and recommend it when
 /// it is predicted cheapest. A site whose loop is too small to amortize a
 /// parallel region's dispatch then skips the pool altogether, and a
-/// parallel pick that overruns can still fall back to `seq` as a
-/// runner-up. `decide_model` itself ranks only the paper's five schemes.
+/// parallel pick can still be trialled against `seq` as a runner-up
+/// (SchemeTrial). `decide_model` itself ranks only the paper's five schemes.
 void add_sequential_venue(Decision& d, const PatternStats& stats,
                           unsigned body_flops, const MachineCoeffs& mc);
-
-/// The mispredict loop's move when `current` keeps overrunning its
-/// prediction: the best-ranked applicable scheme that is neither `current`
-/// nor in `abandoned`, if it is predicted to take less than `beat_s`.
-/// `current` when it is not: the model offers nothing faster than what
-/// the site already ran, so a switch would only trade a scheme whose time
-/// is known for a worse guess. nullopt when no untried scheme is left.
-[[nodiscard]] std::optional<SchemeKind> next_runner_up(
-    std::span<const CostPrediction> ranked,
-    std::span<const SchemeKind> abandoned, SchemeKind current,
-    double beat_s);
 
 /// Thresholds of the rule-based taxonomy. Defaults reproduce the paper's
 /// Fig. 3 recommendations under this repository's stat definitions.

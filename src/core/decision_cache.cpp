@@ -16,10 +16,11 @@ using repro::JsonValue;
 
 /// Schema version of the cache document; bump on incompatible layout
 /// changes (a reader seeing an unknown version treats the file as absent).
-/// v2 added the per-site `phase_times_s` measured history — v1 files are
-/// rejected into a graceful cold start rather than warm-starting with the
-/// feedback loop unarmed.
-constexpr int kCacheSchemaVersion = 2;
+/// v3 replaced v2's model prediction and measured phase-time history with
+/// the one settled `min_time_s` — older files are rejected into a
+/// graceful cold start rather than warm-starting with the timing
+/// demotion unarmed.
+constexpr int kCacheSchemaVersion = 3;
 constexpr const char* kGenerator = "sapp-decision-cache";
 
 double rel_change(double a, double b) {
@@ -63,21 +64,6 @@ bool read_hex(const JsonValue& obj, const char* key, std::uint64_t& out) {
   const JsonValue* v = obj.find(key);
   return v != nullptr && v->is_string() && from_hex(v->as_string(), out);
 }
-
-/// The persisted slice of a phase-time history: the most recent
-/// `DecisionCache::kMaxPhaseHistory` samples. GCC 12 -O2 flags the
-/// number→JsonValue variant moves in this loop with a spurious
-/// -Wmaybe-uninitialized (the temporary is fully constructed); suppressed
-/// locally.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-JsonValue history_json(const std::vector<double>& ts, std::size_t cap) {
-  JsonValue a = JsonValue::array();
-  const std::size_t first = ts.size() > cap ? ts.size() - cap : 0;
-  for (std::size_t j = first; j < ts.size(); ++j) a.push_back(ts[j]);
-  return a;
-}
-#pragma GCC diagnostic pop
 
 }  // namespace
 
@@ -130,8 +116,7 @@ std::string DecisionCache::to_json() const {
     sig.set("index_sum", to_hex(e.signature.sampled_index_sum));
     sig.set("index_xor", to_hex(e.signature.sampled_index_xor));
     s.set("signature", std::move(sig));
-    s.set("predicted_total_s", e.predicted_total_s);
-    s.set("phase_times_s", history_json(e.phase_times_s, kMaxPhaseHistory));
+    s.set("min_time_s", e.min_time_s);
     s.set("invocations", static_cast<unsigned long long>(e.invocations));
     s.set("rationale", e.rationale);
     sites.push_back(std::move(s));
@@ -187,24 +172,15 @@ std::optional<DecisionCache> DecisionCache::from_json(std::string_view text,
     d.signature.dim = *dim;
     d.signature.iterations = *iterations;
     d.signature.refs = *refs;
-    if (const JsonValue* pred = s.find("predicted_total_s");
-        pred != nullptr && pred->is_number() && pred->as_number() >= 0)
-      d.predicted_total_s = pred->as_number();
-    // The measured history is required by schema v2, and every sample must
-    // be a non-negative number — a malformed history is a malformed file
-    // (cold start), not a silently unarmed feedback loop.
-    const JsonValue* hist = s.find("phase_times_s");
-    if (hist == nullptr || !hist->is_array())
-      return fail("missing or non-array phase_times_s for site '" + d.site +
-                  "'");
-    for (const auto& h : hist->items()) {
-      if (!h.is_number() || h.as_number() < 0)
-        return fail("malformed phase_times_s entry for site '" + d.site + "'");
-      d.phase_times_s.push_back(h.as_number());
-    }
-    if (d.phase_times_s.size() > kMaxPhaseHistory)
-      return fail("phase_times_s for site '" + d.site +
-                  "' exceeds the history cap");
+    // Required by schema v3: a non-negative, finite number of seconds. A
+    // malformed minimum is a malformed file (cold start), not a silently
+    // unarmed timing demotion.
+    const JsonValue* min_time = s.find("min_time_s");
+    if (min_time == nullptr || !min_time->is_number() ||
+        !(min_time->as_number() >= 0.0) ||
+        !std::isfinite(min_time->as_number()))
+      return fail("missing or malformed min_time_s for site '" + d.site + "'");
+    d.min_time_s = min_time->as_number();
     // Optional (absent = no evidence yet), but never a garbage count.
     if (const JsonValue* inv = s.find("invocations"); inv != nullptr) {
       const auto n = read_count<std::uint64_t>(inv);

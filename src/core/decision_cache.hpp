@@ -3,14 +3,14 @@
 // The paper's Fig. 2 ToolBox keeps "application and system specific
 // databases"; this is the application half: per loop site, the scheme the
 // adaptive runtime settled on together with the PatternSignature it was
-// learned for, the thread count it is valid under, and a bounded history
-// of measured per-invocation phase times. On a warm start `sapp::Runtime`
-// adopts the remembered scheme directly and skips the first-invocation
-// characterization + decision (the expensive O(refs + dim) inspector
-// sweep), and the phase history arms the PhaseMonitor's time-drift
-// detector immediately — a warm-started site whose cached history
-// contradicts fresh measurements re-characterizes within the first
-// monitored window instead of trusting the stale scheme.
+// learned for, the thread count it is valid under, and the minimum time
+// its measured trial settled at. On a warm start `sapp::Runtime` adopts
+// the remembered scheme directly and skips the first-invocation
+// characterization, decision and trial (the expensive O(refs + dim)
+// inspector sweep), and the minimum arms the timing demotion immediately —
+// a warm-started site that this host or input contradicts
+// re-characterizes within its first window instead of trusting the stale
+// scheme.
 // A cached entry is only adopted when the first observed pattern still
 // matches its recorded signature — otherwise the site falls back to the
 // normal characterize-and-decide path.
@@ -19,9 +19,9 @@
 // ShardedDecisionStore (decision_store.hpp), which owns all file I/O:
 // `<decision_cache_dir>/shard-<k>.json`, each rendered by `to_json` via
 // src/repro/json (schema documented in docs/adaptivity.md, "The on-disk
-// decision cache"; schema_version 2 — version-1 documents without phase
-// history are treated as absent, a graceful cold start). Caches are
-// host- and thread-count-specific, like the rest of docs/results/.
+// decision cache"; schema_version 3 — documents of any other version are
+// treated as absent, a graceful cold start). Caches are host- and
+// thread-count-specific, like the rest of docs/results/.
 #pragma once
 
 #include <optional>
@@ -40,31 +40,18 @@ struct CachedDecision {
   SchemeKind scheme{};         ///< scheme the site had settled on
   unsigned threads = 0;        ///< pool size the decision was learned under
   PatternSignature signature;  ///< pattern the decision is valid for
-  /// Cost-model prediction (seconds/invocation) for `scheme` when it was
-  /// decided. Carried so a warm-started site keeps the mispredict
-  /// feedback loop: sustained overruns against this value trigger
-  /// re-characterization instead of trusting a stale cache forever.
-  /// 0 = unknown (feedback resumes after the next re-characterization).
-  double predicted_total_s = 0.0;
-  /// Bounded history of *measured* per-invocation phase times (seconds,
-  /// oldest first, at most `DecisionCache::kMaxPhaseHistory` entries) under
-  /// `scheme`. A warm-started site seeds its PhaseMonitor time baseline
-  /// from the median of this history, so the feedback loop arrives armed
-  /// with evidence instead of a model prediction — and re-decides within
-  /// the first monitored window when fresh measurements contradict it
-  /// (stale host, copied file, input moved to a new phase).
-  std::vector<double> phase_times_s;
-  std::uint64_t invocations = 0;  ///< cumulative evidence behind the decision
+  /// The settled minimum (seconds/invocation) of `scheme`'s measured
+  /// trial: a warm-started site judges its first window against it. 0 =
+  /// unknown (the site was snapshotted mid-trial; the warm start's first
+  /// window sets the baseline).
+  double min_time_s = 0.0;
+  std::uint64_t invocations = 0;  ///< submits served, across warm restarts
   std::string rationale;          ///< human-readable provenance
 };
 
 /// Site-id keyed collection of cached decisions with a JSON round trip.
 class DecisionCache {
  public:
-  /// Cap on the persisted phase-time history per site: enough to smooth a
-  /// median over, small enough that cache files stay diff-sized.
-  /// `to_json` keeps the most recent entries when given more.
-  static constexpr std::size_t kMaxPhaseHistory = 16;
   /// Relative signature drift a cached decision may show and still be
   /// adopted on a warm start (the `tolerance` the runtime passes to
   /// `matches`).

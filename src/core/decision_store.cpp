@@ -182,8 +182,13 @@ std::size_t ShardedDecisionStore::drain(const Snapshotter& snap,
         if (site.empty()) continue;  // re-home sentinel
         CachedDecision d;
         if (snap(site, d)) {
+          // The site may have been evicted (its final snapshot put) since
+          // `snap` released its lock: never replace a newer snapshot, whose
+          // lifetime invocation count is larger.
           std::scoped_lock lk(s.mu);
-          s.cache.put(std::move(d));
+          const CachedDecision* held = s.cache.find(site);
+          if (held == nullptr || held->invocations <= d.invocations)
+            s.cache.put(std::move(d));
         }
       }
     }

@@ -108,7 +108,8 @@ class ShardedDecisionStore {
   [[nodiscard]] std::size_t dirty_count() const;
 
   /// Flush every dirty shard: refresh each dirty site via `snap` (when
-  /// given), then rewrite the shard file atomically. Returns the number
+  /// given; a snapshot never replaces a held entry with more lifetime
+  /// invocations), then rewrite the shard file atomically. Returns the number
   /// of shard files written; failed shards stay dirty for retry. Safe to
   /// call concurrently with put/mark_dirty and with other drains (drains
   /// serialize: two writers of one shard's temp file would tear it).

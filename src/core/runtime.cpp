@@ -212,14 +212,9 @@ CachedDecision Runtime::snapshot_site(const std::string& id,
   // The most recently observed signature: what the next run's first
   // invocation is expected to look like.
   d.signature = r.monitor().last();
-  // Prediction for the current scheme, so the warm-started next run
-  // keeps the mispredict feedback loop armed (0 when unknown).
-  for (const auto& cp : r.decision().predictions)
-    if (cp.scheme == r.current()) d.predicted_total_s = cp.total();
-  // Measured phase times under the current scheme (bounded ring): the
-  // warm-started next run seeds its time-drift baseline from these, so
-  // the feedback loop survives the restart armed with evidence.
-  d.phase_times_s = r.phase_history();
+  // The minimum its measured trial settled at: the warm-started next run
+  // judges its first window against it (0 while the trial is still on).
+  d.min_time_s = r.trial().baseline_s();
   // Cumulative across warm restarts — a warm-started run inherits the
   // cache's evidence instead of resetting it to this run's count, and
   // the rationale stays the original decider justification.
@@ -312,7 +307,7 @@ std::string Runtime::report() const {
        << " invocation(s), " << r.recharacterizations()
        << " characterization(s), " << r.scheme_switches() << " switch(es)";
     if (r.time_drift_demotions() > 0)
-      os << ", " << r.time_drift_demotions() << " time-drift demotion(s)";
+      os << ", " << r.time_drift_demotions() << " timing demotion(s)";
     os << (r.warm_started() ? ", warm-started" : "") << "\n    "
        << r.decision().rationale << "\n";
   });

@@ -8,12 +8,12 @@
 //                 runtime to beat the frozen one by >= 1.3x on the drifted
 //                 segment.
 //
-// Second half: the persisted-phase-history contract. A decision cache
-// whose recorded phase times contradict what this host actually measures
-// (stale host, copied file, input moved on) must be demoted within the
-// first monitored window of a warm start — the site adopts the cached
-// scheme, measures, and re-characterizes after at most
-// `PhaseMonitorOptions::time_drift_patience` invocations.
+// Second half: the persisted-minimum contract. A decision cache whose
+// settled minimum contradicts what this host actually measures (stale
+// host, copied file, input moved on) must be demoted within the first
+// window of a warm start — the site adopts the cached scheme, measures,
+// and re-characterizes after at most `SchemeTrial::kSettledRuns`
+// invocations.
 #include <cmath>
 #include <span>
 #include <stdexcept>
@@ -172,32 +172,31 @@ ExperimentResult run_phase_drift(RunContext& ctx) {
     }
   }
 
-  // --- stale phase history: warm start must re-decide -----------------
-  // Learn the dense phase, then poison the persisted history as if the
-  // cache came from a host 1000x faster (predicted_total_s cleared so the
-  // *history* path, not the model-prediction path, is what demotes). The
+  // --- stale settled minimum: warm start must re-decide ---------------
+  // Learn the dense phase until its trial settles, then poison the
+  // persisted minimum as if the cache came from a host 1000x faster. The
   // doctored entry goes straight into a fresh Runtime's decision store
   // before its first submission — no file involved.
   CachedDecision doctored;
   {
     Runtime learner(ctx.runtime_options());
-    for (int k = 0; k < 8; ++k) (void)learner.submit(dense, out);
+    do {
+      (void)learner.submit(dense, out);
+    } while (!learner.site(site).trial().settled());
     DecisionCache snap = learner.snapshot_decisions();
     const CachedDecision* learned = snap.find(site);
     if (learned == nullptr)
       throw std::runtime_error("phase_drift: no cached decision for " + site);
     doctored = *learned;
-    doctored.predicted_total_s = 0.0;
-    for (auto& t : doctored.phase_times_s) t /= 1000.0;
+    doctored.min_time_s /= 1000.0;
   }
   int recheck_invocation = 0;
   bool adopted = false;
   int window = 0;
   {
-    const RuntimeOptions o = ctx.runtime_options();
-    Runtime rt(o);
+    Runtime rt(ctx.runtime_options());
     rt.decision_store().put(std::move(doctored));
-    window = o.adaptive.monitor.time_drift_patience;
+    window = SchemeTrial::kSettledRuns;
     for (int k = 1; k <= window + 4; ++k) {
       (void)rt.submit(dense, out);
       if (k == 1) adopted = rt.site(site).warm_started();
@@ -223,11 +222,10 @@ ExperimentResult run_phase_drift(RunContext& ctx) {
            "includes its demotion + re-characterization cost); the "
            "repro-smoke gate requires >= 1.3x at full size.");
   res.note("stale_warm_recharacterize_invocation: a warm start from a "
-           "cache whose phase history promises 1000x-faster invocations "
+           "cache whose settled minimum promises 1000x-faster invocations "
            "adopts the cached scheme, contradicts it against fresh "
            "measurements, and re-characterizes; the gate requires this "
-           "within the first monitored window (stale_warm_window "
-           "invocations).");
+           "within the first window (stale_warm_window invocations).");
   res.note("Committed reference results are from a 1-hardware-thread "
            "host; the scheme split (rep -> sel/hash) and the speedup "
            "survive any thread count because the frozen scheme's O(dim) "
@@ -245,7 +243,7 @@ void register_phase_drift_experiments(ExperimentRegistry& r) {
              "Dense->sparse connectivity reshuffle on one loop site: "
              "re-adapting runtime vs frozen-decision baseline on the "
              "drifted segment, plus warm-start demotion of a decision "
-             "cache with contradictory phase history.",
+             "cache whose settled minimum is contradicted.",
          .default_scale = 0.3,
          .run = run_phase_drift});
 }

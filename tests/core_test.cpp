@@ -241,34 +241,6 @@ TEST(DecideModel, SequentialVenueRanksSeqAmongThePaperFive) {
   EXPECT_EQ(d.rationale.rfind("cost model: seq predicted", 0), 0u);
 }
 
-TEST(DecideModel, RunnerUpMustBeatTheMeasuredTime) {
-  const auto pred = [](SchemeKind k, double s, bool applicable = true) {
-    CostPrediction c;
-    c.scheme = k;
-    c.loop_s = s;
-    c.applicable = applicable;
-    return c;
-  };
-  const std::vector<CostPrediction> ranked = {
-      pred(SchemeKind::kRep, 1e-3), pred(SchemeKind::kSeq, 3e-3),
-      pred(SchemeKind::kHash, 5e-3),
-      pred(SchemeKind::kLocalWrite, 0.0, /*applicable=*/false)};
-  const std::vector<SchemeKind> none;
-  constexpr SchemeKind kRep = SchemeKind::kRep;
-  // rep overran and a runner-up must beat 10 ms: seq, predicted at 3 ms,
-  // does.
-  EXPECT_EQ(next_runner_up(ranked, none, kRep, 10e-3), SchemeKind::kSeq);
-  // It must beat 2.5 ms: no untried scheme is predicted to, so rep stays.
-  EXPECT_EQ(next_runner_up(ranked, none, kRep, 2.5e-3), kRep);
-  // seq was tried and abandoned: hash, predicted at 5 ms, beats 10 ms.
-  const std::vector<SchemeKind> seq = {SchemeKind::kSeq};
-  EXPECT_EQ(next_runner_up(ranked, seq, kRep, 10e-3), SchemeKind::kHash);
-  // Nothing untried and applicable is left.
-  const std::vector<SchemeKind> seq_hash = {SchemeKind::kSeq,
-                                            SchemeKind::kHash};
-  EXPECT_EQ(next_runner_up(ranked, seq_hash, kRep, 10e-3), std::nullopt);
-}
-
 // ---------------- phase monitor ----------------
 
 TEST(PhaseMonitor, StablePatternNeverTriggers) {
@@ -370,19 +342,17 @@ TEST(AdaptiveReducer, SeqSiteWithNoSampledBlockIsStillCheckedEveryTime) {
   AdaptiveOptions opt;
   opt.check.enabled = true;
   opt.check.sample_rate = kRate;
-  // Measured times must not move the site off seq (the host's load would
-  // decide the test otherwise).
-  opt.mispredict_patience = 1 << 30;
-  opt.monitor.time_drift_patience = 1 << 30;
   AdaptiveReducer red(pool, MachineCoeffs::defaults(), opt);
   std::vector<double> out(dim);
-  for (int k = 0; k < 5; ++k) {
+  // The trial runs the pick for its first window, whatever the host's
+  // load makes of the measured times.
+  for (int k = 0; k < SchemeTrial::kTrialRuns; ++k) {
     std::fill(out.begin(), out.end(), 0.0);
     (void)red.invoke(in, out);
     for (std::size_t e = 0; e < dim; ++e)
       ASSERT_EQ(out[e], ref[e]) << "invocation " << k << " element " << e;
   }
-  EXPECT_EQ(red.current(), SchemeKind::kSeq);
+  EXPECT_EQ(red.decision().recommended, SchemeKind::kSeq);
   EXPECT_EQ(red.checks_run(), red.invocations());
   EXPECT_EQ(red.check_failures(), 0u);
   EXPECT_EQ(red.last_check().slots_sampled, 0u);
@@ -391,8 +361,7 @@ TEST(AdaptiveReducer, SeqSiteWithNoSampledBlockIsStillCheckedEveryTime) {
 
 TEST(AdaptiveReducer, DriftTriggersRecharacterization) {
   ThreadPool pool(2);
-  AdaptiveReducer red(pool, MachineCoeffs::defaults(),
-                      AdaptiveOptions{.monitor = {.pattern_threshold = 0.2}});
+  AdaptiveReducer red(pool, MachineCoeffs::defaults());
   workloads::SynthParams p;
   p.dim = 50000;
   p.distinct = 400;
@@ -412,10 +381,10 @@ TEST(AdaptiveReducer, DriftTriggersRecharacterization) {
   EXPECT_GE(red.recharacterizations(), 2u);
 }
 
-TEST(AdaptiveReducer, MispredictionSwitchesScheme) {
+TEST(AdaptiveReducer, MeasuredTrialLeavesAMispredictedPick) {
   // Deliberately poisoned coefficients make the model love rep for a
-  // pattern where rep is terrible (tiny touched set in a huge array);
-  // sustained overruns must switch to the runner-up.
+  // pattern where rep is terrible (tiny touched set in a huge array); the
+  // trial after the decision times the runner-ups and keeps a faster one.
   MachineCoeffs poisoned = MachineCoeffs::defaults();
   poisoned.ns_init = 1e-7;    // model thinks init is free
   poisoned.ns_merge = 1e-7;   // ... and merge too
@@ -428,19 +397,24 @@ TEST(AdaptiveReducer, MispredictionSwitchesScheme) {
 
   const auto in = sparse_input();
   ThreadPool pool(2);
-  AdaptiveReducer red(pool, poisoned,
-                      AdaptiveOptions{.mispredict_patience = 2});
+  AdaptiveReducer red(pool, poisoned);
   std::vector<double> out(in.pattern.dim, 0.0);
   const SchemeKind first = [&] {
     red.invoke(in, out);
     return red.current();
   }();
-  for (int k = 0; k < 8; ++k) {
+  // The trial has settled by the end of its third window.
+  for (int k = 1; k < SchemeTrial::kTrialRuns *
+                          (1 + SchemeTrial::kMaxAlternatives);
+       ++k) {
     std::fill(out.begin(), out.end(), 0.0);
     red.invoke(in, out);
   }
   EXPECT_EQ(first, SchemeKind::kRep);  // the poisoned model's favourite
+  EXPECT_TRUE(red.trial().settled());
   EXPECT_GT(red.scheme_switches(), 0u);
+  EXPECT_LE(red.scheme_switches(),
+            static_cast<unsigned>(SchemeTrial::kMaxAlternatives));
   EXPECT_NE(red.current(), SchemeKind::kRep);
 }
 
@@ -450,15 +424,10 @@ RuntimeOptions uncalibrated(unsigned threads) {
   RuntimeOptions o;
   o.threads = threads;
   o.coeffs = MachineCoeffs::defaults();
-  // Park the mispredict feedback loop: with uncalibrated coefficients a
-  // loaded CI host overruns every prediction, and these tests pin the
-  // site/cache bookkeeping, not adaptation (the poisoned-cache test
-  // re-arms it explicitly). The time-drift detector is parked for the
-  // same reason — noisy CI timing must not inject re-characterizations
-  // into counter assertions (tests/phase_drift_test.cpp covers it with
-  // synthetic times).
-  o.adaptive.mispredict_patience = 1 << 30;
-  o.adaptive.monitor.time_drift_patience = 1 << 30;
+  // These tests pin the site/cache bookkeeping, not adaptation: no
+  // assertion depends on which scheme a trial keeps, and no site runs a
+  // full window after settling, so no measured time can demote a decision
+  // here (phase_drift_test drives the trial with exact times).
   return o;
 }
 
@@ -525,7 +494,7 @@ TEST(DecisionCache, JsonRoundTripPreservesEntries) {
   d.signature.refs = 1500;
   d.signature.sampled_index_sum = 0xFFFFFFFFFFFFFFull;  // > 2^53: hex str
   d.signature.sampled_index_xor = 0xDEADBEEFCAFEBABEull;
-  d.predicted_total_s = 0.00125;
+  d.min_time_s = 0.00125;
   d.invocations = 7;
   d.rationale = "test \"quoted\" rationale";
   cache.put(d);
@@ -538,7 +507,7 @@ TEST(DecisionCache, JsonRoundTripPreservesEntries) {
   EXPECT_EQ(e->threads, 4u);
   EXPECT_EQ(e->signature.sampled_index_sum, d.signature.sampled_index_sum);
   EXPECT_EQ(e->signature.sampled_index_xor, d.signature.sampled_index_xor);
-  EXPECT_DOUBLE_EQ(e->predicted_total_s, 0.00125);
+  EXPECT_DOUBLE_EQ(e->min_time_s, 0.00125);
   EXPECT_EQ(e->invocations, 7u);
   EXPECT_EQ(e->rationale, d.rationale);
 }
@@ -557,7 +526,7 @@ TEST(DecisionCache, RejectsMalformedDocuments) {
   // never be cast to an integer.
   const auto shard = [](const std::string& field, const std::string& value) {
     std::map<std::string, std::string> v = {
-        {"schema_version", "2"}, {"threads", "2"}, {"dim", "100"},
+        {"schema_version", "3"}, {"threads", "2"}, {"dim", "100"},
         {"iterations", "10"},    {"refs", "20"},   {"invocations", "3"}};
     v[field] = value;
     return R"({"schema_version": )" + v["schema_version"] +
@@ -565,8 +534,8 @@ TEST(DecisionCache, RejectsMalformedDocuments) {
            v["threads"] + R"(, "signature": {"dim": )" + v["dim"] +
            R"(, "iterations": )" + v["iterations"] + R"(, "refs": )" +
            v["refs"] +
-           R"(, "index_sum": "0x1", "index_xor": "0x2"}, "phase_times_s": )"
-           R"([1e-3], "invocations": )" +
+           R"(, "index_sum": "0x1", "index_xor": "0x2"}, "min_time_s": )"
+           R"(1e-3, "invocations": )" +
            v["invocations"] + "}]}";
   };
   ASSERT_TRUE(DecisionCache::from_json(shard("dim", "100")).has_value())
@@ -661,55 +630,37 @@ TEST(Runtime, WarmStartFallsBackToColdPathOnSignatureMismatch) {
   EXPECT_EQ(r.recharacterizations(), 1u);  // cold path taken
 }
 
-TEST(Runtime, WarmSnapshotCarriesEvidenceAndPredictionForward) {
+TEST(Runtime, WarmSnapshotCarriesEvidenceAndMinimumForward) {
   const auto in = sparse_input();
   const ScopedTempDir dir;
   std::vector<double> out(in.pattern.dim, 0.0);
   std::string original_rationale;
+  unsigned learned = 0;
   {
     Runtime learner(persisted(2, dir));
-    for (int k = 0; k < 5; ++k) (void)learner.submit("site", in, out);
+    do {
+      (void)learner.submit("site", in, out);
+    } while (!learner.site("site").trial().settled());
+    learned = learner.site("site").invocations();
     original_rationale = learner.site("site").decision().rationale;
   }
   Runtime rt(persisted(2, dir));
   const auto saved = rt.decision_store().get("site");
   ASSERT_TRUE(saved.has_value());
-  EXPECT_GT(saved->predicted_total_s, 0.0);
-  EXPECT_EQ(saved->invocations, 5u);
+  EXPECT_GT(saved->min_time_s, 0.0);
+  EXPECT_EQ(saved->invocations, learned);
 
   // A warm-started run must accumulate evidence and keep the original
-  // decider rationale, not reset both.
-  for (int k = 0; k < 3; ++k) (void)rt.submit("site", in, out);
+  // decider rationale and the settled minimum, not reset them. Fewer
+  // submits than one window: nothing is judged yet.
+  for (int k = 0; k < SchemeTrial::kTrialRuns - 1; ++k)
+    (void)rt.submit("site", in, out);
   ASSERT_TRUE(rt.site("site").warm_started());
   const DecisionCache resaved = rt.snapshot_decisions();
-  EXPECT_EQ(resaved.find("site")->invocations, 8u);  // 5 inherited + 3
+  EXPECT_EQ(resaved.find("site")->invocations,
+            learned + SchemeTrial::kTrialRuns - 1);
   EXPECT_EQ(resaved.find("site")->rationale, original_rationale);
-  EXPECT_GT(resaved.find("site")->predicted_total_s, 0.0);
-}
-
-TEST(Runtime, WarmStartWithPoisonedCacheEscapesViaRecharacterization) {
-  // A cache that promises an absurdly fast scheme (stale host, copied
-  // file) must not pin the site forever: sustained overruns against the
-  // cached prediction re-characterize on fresh evidence.
-  const auto in = sparse_input();
-  CachedDecision d;
-  d.site = "site";
-  d.scheme = SchemeKind::kRep;  // pessimal for this sparse pattern
-  d.threads = 2;
-  d.signature = PatternSignature::of(in.pattern);
-  d.predicted_total_s = 1e-12;  // everything overruns this
-
-  RuntimeOptions o = uncalibrated(2);
-  o.adaptive.mispredict_patience = 2;
-  Runtime rt(o);
-  rt.decision_store().put(d);  // offered to the site on its creation
-  std::vector<double> out(in.pattern.dim, 0.0);
-  (void)rt.submit("site", in, out);
-  EXPECT_TRUE(rt.site("site").warm_started());
-  EXPECT_EQ(rt.site("site").current(), SchemeKind::kRep);
-  for (int k = 0; k < 6; ++k) (void)rt.submit("site", in, out);
-  EXPECT_GE(rt.site("site").recharacterizations(), 1u);
-  EXPECT_FALSE(rt.site("site").warm_started());
+  EXPECT_EQ(resaved.find("site")->min_time_s, saved->min_time_s);
 }
 
 TEST(Runtime, ThreadCountMismatchInvalidatesCachedDecision) {

@@ -47,8 +47,7 @@ CachedDecision decision(const std::string& site, std::uint64_t invocations,
   d.signature.iterations = 500;
   d.signature.refs = 1000;
   d.signature.sampled_index_sum = 12345;
-  d.predicted_total_s = 0.001;
-  d.phase_times_s = {0.0011, 0.0012};
+  d.min_time_s = 0.0011;
   d.invocations = invocations;
   d.rationale = "test entry";
   return d;

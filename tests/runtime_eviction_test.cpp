@@ -25,10 +25,10 @@ RuntimeOptions quiet_options() {
   RuntimeOptions o;
   o.threads = 2;
   o.coeffs = MachineCoeffs::defaults();
-  // Pin eviction semantics, not adaptation: park the feedback loop so
-  // uncalibrated predictions cannot trigger switches mid-test.
-  o.adaptive.mispredict_patience = 1 << 30;
-  o.adaptive.monitor.time_drift_patience = 1 << 30;
+  // Pin eviction semantics, not adaptation: the rule taxonomy ranks no
+  // predictions, so its pick is never trialled against a runner-up and
+  // the scheme a site learns does not depend on measured times.
+  o.adaptive.use_rule_decider = true;
   return o;
 }
 
