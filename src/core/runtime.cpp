@@ -207,7 +207,9 @@ CachedDecision Runtime::snapshot_site(const std::string& id,
                                       const AdaptiveReducer& r) const {
   CachedDecision d;
   d.site = id;
-  d.scheme = r.current();
+  // The trial's best, not the scheme running: mid-trial that may be a
+  // runner-up still being timed, which a warm start would keep untried.
+  d.scheme = r.trial().best();
   d.threads = pool_->size();
   // The most recently observed signature: what the next run's first
   // invocation is expected to look like.

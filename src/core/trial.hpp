@@ -38,9 +38,9 @@ class SchemeTrial {
  public:
   /// Invocations per trial window.
   static constexpr int kTrialRuns = 3;
-  /// Width of the settled window: twice a trial window. Beside three busy
-  /// loops on a 4-vCPU VM, 3-17 three-wide windows of a traced
-  /// `fig3_steady` run left the band, and 0-5 six-wide ones.
+  /// Width of the settled window: twice a trial window. With a 3-wide one,
+  /// sites whose input never changed demoted on a loaded 4-vCPU VM often
+  /// enough to fail the runtime suites (docs/adaptivity.md).
   static constexpr int kSettledRuns = 2 * kTrialRuns;
   /// Runner-ups trialled after the pick, at most.
   static constexpr int kMaxAlternatives = 2;
@@ -78,6 +78,11 @@ class SchemeTrial {
 
   /// The scheme the site should run.
   [[nodiscard]] SchemeKind scheme() const { return running_; }
+  /// The scheme the trial keeps: the lowest minimum so far while it runs
+  /// (the pick until its first window completes), the settled one after.
+  /// What a snapshot should persist — scheme() may be a runner-up still
+  /// being timed.
+  [[nodiscard]] SchemeKind best() const { return best_; }
   /// True once the trial has kept a scheme.
   [[nodiscard]] bool settled() const { return settled_; }
   /// The kept scheme's trial minimum (0 while trialling, or until the

@@ -176,6 +176,29 @@ TEST(SchemeTrial, LowestMinimumWinsIncludingSettlingBackOnThePick) {
   }
 }
 
+TEST(SchemeTrial, BestIsTheLowestMinimumSoFarNotTheSchemeBeingTimed) {
+  // What a snapshot persists: while a runner-up is being timed, the trial
+  // would keep the pick, however the runner-up's window is going.
+  SchemeTrial t;
+  t.begin(SchemeKind::kRep,
+          {predicted(SchemeKind::kRep, 1e-6), predicted(SchemeKind::kSeq, 2e-6)});
+  EXPECT_EQ(t.best(), SchemeKind::kRep);
+  EXPECT_EQ(t.observe(SchemeKind::kRep, 2e-3), Verdict::kKeep);
+  EXPECT_EQ(t.observe(SchemeKind::kRep, 2e-3), Verdict::kKeep);
+  EXPECT_EQ(t.observe(SchemeKind::kRep, 2e-3), Verdict::kSwitch);
+  EXPECT_EQ(t.scheme(), SchemeKind::kSeq);
+  EXPECT_EQ(t.best(), SchemeKind::kRep);
+  // seq's first two invocations are 3x slower: still the pick.
+  EXPECT_EQ(t.observe(SchemeKind::kSeq, 6e-3), Verdict::kKeep);
+  EXPECT_EQ(t.observe(SchemeKind::kSeq, 6e-3), Verdict::kKeep);
+  EXPECT_EQ(t.best(), SchemeKind::kRep);
+  // The window closes and the trial settles back on rep.
+  EXPECT_EQ(t.observe(SchemeKind::kSeq, 6e-3), Verdict::kSwitch);
+  EXPECT_TRUE(t.settled());
+  EXPECT_EQ(t.best(), SchemeKind::kRep);
+  EXPECT_EQ(t.scheme(), SchemeKind::kRep);
+}
+
 // ---------------- the timing demotion ----------------
 
 TEST(SchemeTrial, SteadyJitterAndASingleSpikeNeverDemote) {
@@ -410,13 +433,14 @@ TEST(Runtime, StaleMinimumWarmStartRecharacterizesWithinWindow) {
   EXPECT_FALSE(rt.site("site").warm_started());
 }
 
-TEST(Runtime, HonestWarmStartAdoptsTheTrialWinnerArmed) {
-  // The counterpart: a minimum recorded on this host, for this input. The
-  // restarted site adopts the trial winner with its baseline armed and
-  // never re-trials. Whether its windows stay inside the band is a
-  // property of the clock; SchemeTrial.WarmBaselineJudgesFromTheFirst-
-  // Invocation pins it with exact times, so here only a timing demotion
-  // may re-characterize the site, and its sums stay exact.
+TEST(Runtime, HonestWarmStartKeepsTheCachedScheme) {
+  // The counterpart: a minimum recorded on this host, for this input, must
+  // NOT be contradicted. The restarted site adopts the trial winner with
+  // its baseline armed, never re-trials, and stays through its first
+  // judged windows: the baseline and every window are minima on the same
+  // host.
+  // The learner's destructor drains to the shard directory; the second
+  // Runtime is the restart.
   const auto in = big_sparse_input();
   std::vector<double> ref(in.pattern.dim, 0.0);
   run_sequential(in, ref);
@@ -444,17 +468,16 @@ TEST(Runtime, HonestWarmStartAdoptsTheTrialWinnerArmed) {
     for (std::size_t e = 0; e < ref.size(); ++e)
       ASSERT_NEAR(out[e], ref[e], 1e-9 + 1e-9 * std::abs(ref[e]));
     if (k == 0) {
-      EXPECT_TRUE(rt.site("site").warm_started());
-      EXPECT_EQ(rt.site("site").current(), learned);
       EXPECT_TRUE(rt.site("site").trial().settled());
       EXPECT_EQ(rt.site("site").trial().baseline_s(), learned_min);
     }
   }
   const AdaptiveReducer& r = rt.site("site");
-  EXPECT_EQ(r.recharacterizations(), r.time_drift_demotions());
-  if (r.recharacterizations() == 0) {
-    EXPECT_EQ(r.scheme_switches(), 0u);  // a warm start never re-trials
-  }
+  EXPECT_TRUE(r.warm_started());
+  EXPECT_EQ(r.current(), learned);
+  EXPECT_EQ(r.recharacterizations(), 0u);
+  EXPECT_EQ(r.time_drift_demotions(), 0u);
+  EXPECT_EQ(r.scheme_switches(), 0u);  // a warm start never re-trials
 }
 
 TEST(Runtime, SnapshotPersistsTheSettledMinimum) {

@@ -104,16 +104,21 @@ TEST(RuntimeConcurrency, DisjointSitesSubmitInParallel) {
   for (auto& th : threads) th.join();
 
   EXPECT_EQ(rt.site_count(), static_cast<std::size_t>(kThreads));
+  constexpr unsigned kMaxDemotions =
+      kInvocations / (SchemeTrial::kTrialRuns + SchemeTrial::kSettledRuns);
   for (int t = 0; t < kThreads; ++t) {
     const AdaptiveReducer& r =
         rt.site(inputs[static_cast<std::size_t>(t)].pattern.loop_id);
     // Exactly once per submission: no lost or duplicated invocations.
     EXPECT_EQ(r.invocations(), static_cast<unsigned>(kInvocations));
     // One characterization at creation; the pattern never drifts, so any
-    // other is a timing demotion of a busy host's windows.
+    // other is a timing demotion of a busy host's windows (under TSan one
+    // region of these sites takes either ~250 us or ~750 us). Each needs
+    // the pick's window and then a full settled one, so a site has room
+    // for at most kMaxDemotions; and the rule decider never trials.
     EXPECT_EQ(r.recharacterizations(), 1u + r.time_drift_demotions());
-    EXPECT_LE(r.scheme_switches(),
-              SchemeTrial::kMaxAlternatives * r.recharacterizations());
+    EXPECT_LE(r.time_drift_demotions(), kMaxDemotions);
+    EXPECT_EQ(r.scheme_switches(), 0u);
     EXPECT_NE(r.current(), SchemeKind::kSeq);  // arbitrated, not seq
   }
 }
