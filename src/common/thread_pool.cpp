@@ -36,10 +36,6 @@ ThreadPool::~ThreadPool() {
   for (auto& h : helpers_) h.join();
 }
 
-void ThreadPool::require_positive_chunk(std::size_t chunk) {
-  SAPP_REQUIRE(chunk > 0, "chunk must be positive");
-}
-
 void ThreadPool::worker_main(unsigned tid) {
   std::uint64_t seen = 0;
   for (;;) {

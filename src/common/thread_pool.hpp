@@ -16,10 +16,7 @@
 //     back to a futex-backed std::atomic wait, so back-to-back regions
 //     never pay a sleep/wake round trip;
 //   - fork/join state lives on dedicated cache lines (alignas(kCacheLine))
-//     so the epoch broadcast, the join counter and the dynamic-scheduling
-//     cursor never false-share;
-//   - `parallel_for_dynamic` claims chunks from that padded atomic cursor
-//     instead of taking a lock.
+//     so the epoch broadcast and the join counter never false-share.
 // The `overhead` experiment (src/repro/exp_overhead.cpp) measures its
 // per-region dispatch latency; CI holds it under an absolute ceiling.
 #pragma once
@@ -66,9 +63,7 @@ struct Range {
 ///
 /// `run(f)` invokes `f(tid)` once for each tid in [0, size()) and returns
 /// when all have finished; tid 0 always executes on the calling thread.
-/// `parallel_for` partitions an index range statically in blocks;
-/// `parallel_for_dynamic` hands out fixed-size chunks from a shared padded
-/// counter (self-scheduling).
+/// `parallel_for` partitions an index range statically in blocks.
 ///
 /// Regions must be dispatched from one thread at a time (the owner of the
 /// fork-join structure), must not throw, and must not recursively dispatch
@@ -108,23 +103,6 @@ class ThreadPool {
     });
   }
 
-  /// Dynamically scheduled parallel loop over [0, n) with chunks of
-  /// `chunk` iterations claimed from a padded shared counter.
-  template <typename F>
-  void parallel_for_dynamic(std::size_t n, std::size_t chunk, F&& body) {
-    require_positive_chunk(chunk);
-    cursor_.store(0, std::memory_order_relaxed);
-    run([&](unsigned tid) {
-      for (;;) {
-        const std::size_t lo =
-            cursor_.fetch_add(chunk, std::memory_order_relaxed);
-        if (lo >= n) break;
-        const std::size_t hi = lo + chunk < n ? lo + chunk : n;
-        body(tid, Range{lo, hi});
-      }
-    });
-  }
-
  private:
   using RawFn = void (*)(void* ctx, unsigned tid);
 
@@ -132,7 +110,6 @@ class ThreadPool {
   /// run worker 0 inline, then join. Defined in thread_pool.cpp.
   void dispatch(RawFn fn, void* ctx);
   void worker_main(unsigned tid);
-  static void require_positive_chunk(std::size_t chunk);
 
   unsigned nthreads_;
   /// Spin budget before parking: full when every worker can own a
@@ -155,10 +132,6 @@ class ThreadPool {
   alignas(kCacheLine) std::atomic<unsigned> remaining_{0};
   /// Caller parked in remaining_.wait (gates the helpers' futex wake).
   alignas(kCacheLine) std::atomic<bool> caller_waiting_{false};
-
-  /// Self-scheduling cursor for parallel_for_dynamic, on its own line so
-  /// chunk claims never contend with fork/join state.
-  alignas(kCacheLine) std::atomic<std::size_t> cursor_{0};
 };
 
 }  // namespace sapp

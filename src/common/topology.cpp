@@ -1,15 +1,11 @@
 #include "common/topology.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
 #include <thread>
-
-#include "common/assert.hpp"
 
 namespace sapp {
 
@@ -57,9 +53,8 @@ std::vector<unsigned> parse_cpulist(const std::string& list) {
       // skip the malformed chunk, keep the rest
     }
   }
-  // sysfs lists may overlap across chunks ("0-2,2,1" is legal); the
-  // consumers (CPU shares, group splits) need each CPU exactly once, in
-  // order.
+  // sysfs lists may overlap across chunks ("0-2,2,1" is legal); the CPU
+  // counts need each CPU exactly once, in order.
   std::sort(cpus.begin(), cpus.end());
   cpus.erase(std::unique(cpus.begin(), cpus.end()), cpus.end());
   return cpus;
@@ -90,7 +85,7 @@ CpuTopology CpuTopology::detect() {
             });
 
   // Core/package counts from the per-cpu topology files (best effort; the
-  // counts are metadata, the schedule only needs the node shares).
+  // counts are metadata).
   std::set<std::pair<long, long>> cores;
   std::set<long> packages;
   for (const auto& node : t.nodes) {
@@ -136,135 +131,5 @@ std::string CpuTopology::summary() const {
   s += from_sysfs ? " (sysfs)" : " (flat fallback)";
   return s;
 }
-
-// ------------------------------------------------------ CombineSchedule
-
-namespace {
-
-/// 0 = no override. Relaxed atomics: tests flip this between runs while
-/// pool helpers are parked.
-std::atomic<unsigned> g_forced_groups{0};
-
-enum class Policy { kFlat, kNodes, kFixedGroups };
-
-struct EnvPolicy {
-  Policy policy = Policy::kNodes;
-  unsigned fixed = 0;
-};
-
-EnvPolicy env_policy() {
-  static const EnvPolicy p = [] {
-    EnvPolicy e;
-    const char* env = std::getenv("SAPP_TOPOLOGY");
-    if (env == nullptr || *env == '\0') return e;
-    const std::string v = env;
-    if (v == "flat") {
-      e.policy = Policy::kFlat;
-    } else if (v == "nodes") {
-      e.policy = Policy::kNodes;
-    } else if (v.rfind("groups=", 0) == 0) {
-      try {
-        e.fixed = static_cast<unsigned>(std::stoul(v.substr(7)));
-        e.policy = Policy::kFixedGroups;
-      } catch (...) {
-        e.fixed = 0;
-      }
-      if (e.fixed == 0) {
-        SAPP_REQUIRE(false,
-                     "SAPP_TOPOLOGY=groups=<G> needs a positive integer");
-      }
-    } else {
-      const std::string msg = "SAPP_TOPOLOGY='" + v +
-                              "' is not flat, nodes, or groups=<G>";
-      SAPP_REQUIRE(false, msg.c_str());
-    }
-    return e;
-  }();
-  return p;
-}
-
-}  // namespace
-
-const Range& CombineSchedule::group_of(unsigned tid) const {
-  for (const Range& g : groups)
-    if (tid >= g.begin && tid < g.end) return g;
-  SAPP_REQUIRE(false, "worker id outside the combine schedule");
-  return groups.front();  // unreachable
-}
-
-CombineSchedule CombineSchedule::equal_groups(unsigned P, unsigned G) {
-  CombineSchedule s;
-  if (P == 0) return s;
-  G = std::clamp(G, 1u, P);
-  for (unsigned g = 0; g < G; ++g) {
-    const Range r = static_block(P, g, G);
-    if (!r.empty()) s.groups.push_back(r);
-  }
-  return s;
-}
-
-CombineSchedule CombineSchedule::from_topology(unsigned P,
-                                               const CpuTopology& t) {
-  CombineSchedule s;
-  if (P == 0) return s;
-  if (t.nodes.size() <= 1 || t.total_cpus == 0)
-    return equal_groups(P, 1);
-  // Proportional contiguous split: node j's group gets a worker-id block
-  // sized by its share of the machine's CPUs (cumulative rounding keeps
-  // the union exact). Empty blocks are dropped (P < node count).
-  std::size_t begin = 0;
-  unsigned cpus_before = 0;
-  for (const auto& node : t.nodes) {
-    cpus_before += static_cast<unsigned>(node.cpus.size());
-    const std::size_t end =
-        (static_cast<std::size_t>(P) * cpus_before + t.total_cpus / 2) /
-        t.total_cpus;
-    const std::size_t clamped = std::min<std::size_t>(end, P);
-    if (clamped > begin) {
-      s.groups.push_back(Range{begin, clamped});
-      begin = clamped;
-    }
-  }
-  if (begin < P) {  // rounding shortfall lands in the last group
-    if (s.groups.empty()) s.groups.push_back(Range{0, P});
-    else s.groups.back().end = P;
-  }
-  return s;
-}
-
-CombineSchedule CombineSchedule::for_workers(unsigned P) {
-  if (const unsigned g = g_forced_groups.load(std::memory_order_relaxed);
-      g > 0)
-    return equal_groups(P, g);
-  const EnvPolicy e = env_policy();
-  switch (e.policy) {
-    case Policy::kFlat: return equal_groups(P, 1);
-    case Policy::kFixedGroups: return equal_groups(P, e.fixed);
-    case Policy::kNodes: break;
-  }
-  return from_topology(P, CpuTopology::host());
-}
-
-namespace topology {
-
-void force_groups(unsigned g) {
-  g_forced_groups.store(g, std::memory_order_relaxed);
-}
-
-std::string policy_summary() {
-  if (const unsigned g = g_forced_groups.load(std::memory_order_relaxed);
-      g > 0)
-    return "forced groups=" + std::to_string(g);
-  switch (env_policy().policy) {
-    case Policy::kFlat: return "flat (SAPP_TOPOLOGY)";
-    case Policy::kFixedGroups:
-      return "groups=" + std::to_string(env_policy().fixed) +
-             " (SAPP_TOPOLOGY)";
-    case Policy::kNodes: break;
-  }
-  return "nodes";
-}
-
-}  // namespace topology
 
 }  // namespace sapp

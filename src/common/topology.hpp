@@ -1,30 +1,16 @@
-// Host CPU topology and the topology-aware combine schedule.
+// Host CPU topology, as result metadata.
 //
-// The privatizing schemes' merge phase folds P private buffers into the
-// shared array. On a multi-node machine the fold order matters twice:
-// once for bandwidth (reading a buffer that lives on another NUMA node
-// crosses the interconnect) and once for determinism (floating-point sums
-// reassociate). `CpuTopology` reads the sysfs view of the machine
-// (packages, cores, NUMA nodes — a hwloc-style summary without the
-// dependency) and `CombineSchedule` turns it into a deterministic
-// partition of the P workers into groups: the merge folds copies within a
-// group first, then folds the group results in ascending order. With one
-// group (any single-node host, or SAPP_TOPOLOGY=flat) the schedule is
-// exactly the historical flat ascending-thread fold, bitwise included.
-//
-// Workers are not pinned, so node grouping is proportional, not exact:
-// worker ids are split into contiguous blocks sized by each node's share
-// of the machine's CPUs. That captures the first-touch placement the
-// schemes establish (each worker initializes its own buffer) without a
-// pinning dependency. docs/backends.md documents the combine-order
-// contract; tests/kernels_test.cpp pins it.
+// `CpuTopology` reads the sysfs view of the machine (packages, cores,
+// NUMA nodes — a hwloc-style summary without the dependency). Results
+// record its one-line summary next to the thread count and kernel
+// backend, so a committed number says what shape of machine produced it.
+// Nothing in the runtime branches on it: the privatizing schemes merge in
+// ascending thread order on every host (docs/backends.md, "The combine
+// order").
 #pragma once
 
-#include <cstddef>
 #include <string>
 #include <vector>
-
-#include "common/thread_pool.hpp"
 
 namespace sapp {
 
@@ -56,42 +42,5 @@ struct CpuTopology {
 /// Parse a sysfs cpulist ("0-3,8-11", "0", "") into CPU ids. Malformed
 /// chunks are skipped; exposed for tests.
 [[nodiscard]] std::vector<unsigned> parse_cpulist(const std::string& list);
-
-/// Deterministic partition of worker ids [0, P) into contiguous groups for
-/// the hierarchical merge. Groups are never empty and cover [0, P) in
-/// ascending order.
-struct CombineSchedule {
-  std::vector<Range> groups;
-
-  [[nodiscard]] bool flat() const { return groups.size() <= 1; }
-  [[nodiscard]] std::size_t group_count() const { return groups.size(); }
-  /// The group containing worker `tid`.
-  [[nodiscard]] const Range& group_of(unsigned tid) const;
-
-  /// Schedule for P workers on the host topology, honouring the
-  /// SAPP_TOPOLOGY override (read once at first use):
-  ///   flat        — one group (the historical flat merge),
-  ///   nodes       — group by NUMA-node share (default),
-  ///   groups=<G>  — G equal contiguous groups (testing/ablation).
-  /// A `force_groups` override (test hook) beats the environment.
-  [[nodiscard]] static CombineSchedule for_workers(unsigned P);
-
-  /// Build from an explicit group count (clamped to [1, P]).
-  [[nodiscard]] static CombineSchedule equal_groups(unsigned P, unsigned G);
-
-  /// Build for P workers from an explicit topology (nodes policy).
-  [[nodiscard]] static CombineSchedule from_topology(unsigned P,
-                                                     const CpuTopology& t);
-};
-
-namespace topology {
-/// Test/ablation hook: force every CombineSchedule::for_workers to use G
-/// equal groups (0 restores the environment/topology-driven behaviour).
-void force_groups(unsigned g);
-/// One-line description of the schedule policy for result metadata, e.g.
-/// "nodes (1 group over 8 workers would be flat)" — combined with
-/// CpuTopology::host().summary() by callers.
-[[nodiscard]] std::string policy_summary();
-}  // namespace topology
 
 }  // namespace sapp

@@ -11,13 +11,10 @@
 // Init and Merge run on the active kernel backend (reductions/kernels.hpp:
 // scalar or AVX2/AVX-512 via runtime dispatch) over 64-byte-aligned
 // private buffers that are first-touch-initialized by their owning worker.
-// The merge is topology-aware (common/topology.hpp): with a grouped
-// combine schedule, copies fold within a group into the group leader's
-// buffer first, then the group results fold into `out` in ascending group
-// order; with the (default single-node) flat schedule the fold is the
-// historical ((out ⊕ p0) ⊕ p1)… ascending-thread order. Both orders are
-// deterministic, and vectorization never changes a bit: per element the
-// operator applications happen in the same sequence on every backend.
+// The merge folds per element ((out ⊕ p0) ⊕ p1)… in ascending thread
+// order on every host. That order is deterministic, and vectorization
+// never changes a bit: per element the operator applications happen in
+// the same sequence on every backend.
 #pragma once
 
 #include <memory>
@@ -25,7 +22,6 @@
 
 #include "common/aligned.hpp"
 #include "common/compiler.hpp"
-#include "common/topology.hpp"
 #include "reductions/kernels.hpp"
 #include "reductions/reduction_op.hpp"
 #include "reductions/scheme.hpp"
@@ -113,44 +109,15 @@ class RepScheme final : public Scheme {
     // tile contiguously (unit stride — the kernel backend's merge) instead
     // of striding one element across all P copies.
     t.restart();
-    const CombineSchedule sched = CombineSchedule::for_workers(P);
     constexpr std::size_t kTile = 1024;  // 8 KiB of `out` per tile
-    if (sched.flat()) {
-      // Flat: per element, ((out ⊕ p0) ⊕ p1)… in ascending thread order.
-      pool.parallel_for(dim, [&](unsigned, Range rg) {
-        double* SAPP_RESTRICT o = out.data();
-        for (std::size_t t0 = rg.begin; t0 < rg.end; t0 += kTile) {
-          const std::size_t t1 = t0 + kTile < rg.end ? t0 + kTile : rg.end;
-          for (unsigned q = 0; q < P; ++q)
-            fold(o + t0, pl->priv[q].data() + t0, t1 - t0);
-        }
-      });
-    } else {
-      // Hierarchical: each group pre-folds its copies into the group
-      // leader's buffer (workers split the element space within their own
-      // group, so the intra-group traffic stays on the group's node under
-      // first-touch placement), then the group results fold into `out` in
-      // ascending group order.
-      pool.run([&](unsigned tid) {
-        const Range g = sched.group_of(tid);
-        const auto gsz = static_cast<unsigned>(g.size());
-        if (gsz <= 1) return;
-        const Range slice =
-            static_block(dim, tid - static_cast<unsigned>(g.begin), gsz);
-        if (slice.empty()) return;
-        double* leader = pl->priv[g.begin].data() + slice.begin;
-        for (std::size_t q = g.begin + 1; q < g.end; ++q)
-          fold(leader, pl->priv[q].data() + slice.begin, slice.size());
-      });
-      pool.parallel_for(dim, [&](unsigned, Range rg) {
-        double* SAPP_RESTRICT o = out.data();
-        for (std::size_t t0 = rg.begin; t0 < rg.end; t0 += kTile) {
-          const std::size_t t1 = t0 + kTile < rg.end ? t0 + kTile : rg.end;
-          for (const Range& g : sched.groups)
-            fold(o + t0, pl->priv[g.begin].data() + t0, t1 - t0);
-        }
-      });
-    }
+    pool.parallel_for(dim, [&](unsigned, Range rg) {
+      double* SAPP_RESTRICT o = out.data();
+      for (std::size_t t0 = rg.begin; t0 < rg.end; t0 += kTile) {
+        const std::size_t t1 = t0 + kTile < rg.end ? t0 + kTile : rg.end;
+        for (unsigned q = 0; q < P; ++q)
+          fold(o + t0, pl->priv[q].data() + t0, t1 - t0);
+      }
+    });
     r.phases.merge_s = t.seconds();
     return r;
   }

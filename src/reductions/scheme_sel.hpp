@@ -10,9 +10,8 @@
 // The compact private rows are 64-byte-aligned uninitialized storage
 // (common/aligned.hpp) first-touched by their owning worker, and the Init
 // fill plus the merge's contiguous row folds run on the active kernel
-// backend (reductions/kernels.hpp). The merge honours the topology-aware
-// combine schedule: grouped hosts pre-fold each group's rows into the
-// group leader's row before the final gather/fold/scatter over `out`.
+// backend (reductions/kernels.hpp). The merge folds each shared slot in
+// ascending thread order, the same order as rep's merge.
 #pragma once
 
 #include <cstdint>
@@ -21,7 +20,6 @@
 
 #include "common/aligned.hpp"
 #include "common/compiler.hpp"
-#include "common/topology.hpp"
 #include "reductions/kernels.hpp"
 #include "reductions/reduction_op.hpp"
 #include "reductions/scheme.hpp"
@@ -140,27 +138,9 @@ class SelectiveScheme final : public Scheme {
 
     // Merge: gather a tile of shared elements into a stack buffer once,
     // stream each private row through the tile with unit stride (the
-    // backend merge kernel), then scatter back. With a grouped schedule
-    // each group's rows pre-fold into the group leader's row first; the
-    // final pass then streams one row per group. Per slot the combine
-    // order stays deterministic: ascending thread order within a group,
-    // ascending group order across groups (flat == historical order).
+    // backend merge kernel) in ascending thread order, then scatter back.
     t.restart();
-    const CombineSchedule sched = CombineSchedule::for_workers(P);
     constexpr std::size_t kTile = 1024;  // 8 KiB stack buffer
-    if (!sched.flat()) {
-      pool.run([&](unsigned tid) {
-        const Range g = sched.group_of(tid);
-        const auto gsz = static_cast<unsigned>(g.size());
-        if (gsz <= 1) return;
-        const Range slice =
-            static_block(nshared, tid - static_cast<unsigned>(g.begin), gsz);
-        if (slice.empty()) return;
-        double* leader = pl->priv[g.begin].data() + slice.begin;
-        for (std::size_t q = g.begin + 1; q < g.end; ++q)
-          fold(leader, pl->priv[q].data() + slice.begin, slice.size());
-      });
-    }
     pool.parallel_for(nshared, [&](unsigned, Range rg) {
       double acc[kTile];
       const std::uint32_t* SAPP_RESTRICT se = pl->shared_elems.data();
@@ -168,13 +148,8 @@ class SelectiveScheme final : public Scheme {
         const std::size_t len =
             (rg.end - t0 < kTile) ? rg.end - t0 : kTile;
         for (std::size_t k = 0; k < len; ++k) acc[k] = out[se[t0 + k]];
-        if (sched.flat()) {
-          for (unsigned q = 0; q < P; ++q)
-            fold(acc, pl->priv[q].data() + t0, len);
-        } else {
-          for (const Range& g : sched.groups)
-            fold(acc, pl->priv[g.begin].data() + t0, len);
-        }
+        for (unsigned q = 0; q < P; ++q)
+          fold(acc, pl->priv[q].data() + t0, len);
         for (std::size_t k = 0; k < len; ++k) out[se[t0 + k]] = acc[k];
       }
     });

@@ -1,6 +1,6 @@
 // Parallel-substrate overhead experiment:
-//   overhead — fork-join dispatch latency, parallel_for throughput and
-//              dynamic chunk-claim cost of sapp::ThreadPool.
+//   overhead — fork-join dispatch latency and parallel_for throughput of
+//              sapp::ThreadPool.
 //
 // Every phase time the repo reproduces (Fig. 3 rankings, the Fig. 6
 // Init/Loop/Merge breakdown, Fig. 7 scalability) is measured on top of the
@@ -48,8 +48,7 @@ double daxpy_region_ns(RunContext& ctx, ThreadPool& pool,
 
 // The `overhead` experiment. The latency row prices empty-region
 // dispatch; throughput rows sweep the region size to show where dispatch
-// overhead stops mattering; the dynamic table prices chunk
-// self-scheduling.
+// overhead stops mattering.
 ExperimentResult run_overhead(RunContext& ctx) {
   ThreadPool& pool = ctx.pool();
 
@@ -79,28 +78,6 @@ ExperimentResult run_overhead(RunContext& ctx) {
   }
   res.tables.push_back(std::move(tp));
 
-  // --- dynamic self-scheduling: chunk-claim cost ----------------------
-  const std::size_t dyn_n = ctx.tiny() ? (1u << 13) : (1u << 17);
-  const int dyn_regions = ctx.tiny() ? 20 : 200;
-  ResultTable dyn("dynamic_chunk_claim",
-                  {"Chunk", "ns/region", "ns/chunk (incl body)"});
-  for (const std::size_t chunk : {16u, 256u, 4096u}) {
-    const double secs = ctx.measure([&] {
-      Timer t;
-      for (int k = 0; k < dyn_regions; ++k)
-        pool.parallel_for_dynamic(dyn_n, chunk, [&](unsigned, Range rg) {
-          for (std::size_t i = rg.begin; i < rg.end; ++i)
-            y[i % max_n] = y[i % max_n] * 0.999999 + 1e-9;
-        });
-      return t.seconds();
-    });
-    const double per_region = secs / dyn_regions * 1e9;
-    const double chunks = static_cast<double>((dyn_n + chunk - 1) / chunk);
-    dyn.add_row({static_cast<double>(chunk), round_to(per_region, 1),
-                 round_to(per_region / chunks, 2)});
-  }
-  res.tables.push_back(std::move(dyn));
-
   res.metric("threads", pool.size());
   res.metric("fork_join_ns_new", round_to(ns_new, 1));
   res.note("parallel_for rows show where dispatch cost is amortized as "
@@ -116,8 +93,7 @@ void register_overhead_experiments(ExperimentRegistry& r) {
          .paper_ref = "substrate (ROADMAP)",
          .description =
              "Measure per-region fork-join latency and parallel_for "
-             "throughput of the zero-allocation pool, plus dynamic "
-             "chunk-claim cost.",
+             "throughput of the zero-allocation pool.",
          .default_scale = 1.0,
          .run = run_overhead});
 }

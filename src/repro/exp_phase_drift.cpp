@@ -226,9 +226,8 @@ ExperimentResult run_phase_drift(RunContext& ctx) {
            "adopts the cached scheme, contradicts it against fresh "
            "measurements, and re-characterizes; the gate requires this "
            "within the first window (stale_warm_window invocations).");
-  res.note("Committed reference results are from a 1-hardware-thread "
-           "host; the scheme split (rep -> sel/hash) and the speedup "
-           "survive any thread count because the frozen scheme's O(dim) "
+  res.note("The scheme split (rep -> sel/hash) and the speedup survive "
+           "any thread count because the frozen scheme's O(dim) "
            "init/merge tax is per-invocation.");
   return res;
 }

@@ -55,7 +55,6 @@ EnvironmentInfo EnvironmentInfo::current() {
   e.isa = k.isa;
   e.dispatch = kernels::dispatch_summary();
   e.topology = CpuTopology::host().summary();
-  e.combine = topology::policy_summary();
   return e;
 }
 
@@ -88,7 +87,7 @@ void render_config_lines(const RunMeta& meta, const HostInfo& host,
      << "- **Host:** " << host.tag() << ", " << host.hardware_threads
      << " hardware threads, " << host.compiler << "\n"
      << "- **Environment:** backend " << env.backend << " (" << env.isa
-     << "), topology " << env.topology << ", combine " << env.combine << "\n"
+     << "), topology " << env.topology << "\n"
      << "- **Config:** scale " << format_json_number(meta.scale)
      << ", threads " << meta.threads << ", reps " << meta.reps
      << ", warmup " << meta.warmup << (meta.tiny ? ", tiny" : "") << "\n";
@@ -148,7 +147,6 @@ JsonValue result_to_json(const RunMeta& meta, const HostInfo& host,
   env.set("isa", envi.isa);
   env.set("dispatch", envi.dispatch);
   env.set("topology", envi.topology);
-  env.set("combine", envi.combine);
   doc.set("environment", std::move(env));
 
   JsonValue cfg = JsonValue::object();
@@ -225,8 +223,7 @@ std::string validate_result_json(const JsonValue& doc) {
   }
 
   const JsonValue& env = *doc.find("environment");
-  for (const char* key :
-       {"backend", "isa", "dispatch", "topology", "combine"}) {
+  for (const char* key : {"backend", "isa", "dispatch", "topology"}) {
     const JsonValue* v = env.find(key);
     if (v == nullptr || !v->is_string())
       return std::string("environment.") + key + " missing or not a string";

@@ -18,8 +18,8 @@ namespace sapp::repro {
 
 /// Schema version stamped into every JSON document; bump when the document
 /// layout changes incompatibly. v2 added the required `environment` block
-/// (kernel backend, ISA, topology).
-inline constexpr int kSchemaVersion = 2;
+/// (kernel backend, ISA, topology); v3 dropped its `combine` key.
+inline constexpr int kSchemaVersion = 3;
 
 /// One column-labelled table of results. Cells are JSON scalars so the
 /// JSON rendering stays typed (numbers are numbers, not strings).
@@ -77,15 +77,14 @@ struct HostInfo {
 };
 
 /// Execution environment of a run: which kernel backend dispatch selected,
-/// the CPU's vector capability, and the machine topology driving the
-/// combine schedule. Rendered into every result document (schema v2) so a
-/// committed number can always be traced to the code path that produced it.
+/// the CPU's vector capability, and the machine topology. Rendered into
+/// every result document so a committed number can always be traced to the
+/// code path and machine shape that produced it.
 struct EnvironmentInfo {
   std::string backend;   ///< active backend name ("scalar", "avx2", ...)
   std::string isa;       ///< backend ISA description
   std::string dispatch;  ///< dispatch decision incl. detected/compiled sets
   std::string topology;  ///< CpuTopology::host().summary()
-  std::string combine;   ///< combine-schedule policy (topology::policy_summary)
 
   /// Probe the active backend + host topology.
   [[nodiscard]] static EnvironmentInfo current();

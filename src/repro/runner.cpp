@@ -204,8 +204,7 @@ int run_cli(const CliOptions& opts, const ExperimentRegistry& registry,
                  b == kernels::active_backend() ? "*" : ""});
     }
     out << t.str() << "\ndispatch: " << kernels::dispatch_summary()
-        << "\ntopology: " << CpuTopology::host().summary()
-        << "\ncombine:  " << topology::policy_summary() << "\n";
+        << "\ntopology: " << CpuTopology::host().summary() << "\n";
     return 0;
   }
   if (opts.list) {

@@ -191,15 +191,6 @@ TEST(ThreadPool, ParallelForCoversRange) {
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(ThreadPool, DynamicCoversRangeOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1003);
-  pool.parallel_for_dynamic(1003, 17, [&](unsigned, Range r) {
-    for (std::size_t i = r.begin; i < r.end; ++i) hits[i].fetch_add(1);
-  });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
 TEST(ThreadPool, ReusableAcrossManyInvocations) {
   ThreadPool pool(2);
   std::atomic<int> total{0};
@@ -266,19 +257,6 @@ TEST(ThreadPool, RegionsInterleavedWithSleepPark) {
     pool.run([&](unsigned) { total.fetch_add(1); });
   }
   EXPECT_EQ(total.load(), 6);
-}
-
-TEST(ThreadPool, DynamicClaimsEveryIndexExactlyOnce) {
-  // Chunk size not dividing n, n not dividing threads: every index must be
-  // claimed exactly once across all chunk shapes.
-  ThreadPool pool(4);
-  for (const std::size_t chunk : {1ul, 7ul, 64ul, 5000ul}) {
-    std::vector<std::atomic<int>> hits(997);
-    pool.parallel_for_dynamic(997, chunk, [&](unsigned, Range r) {
-      for (std::size_t i = r.begin; i < r.end; ++i) hits[i].fetch_add(1);
-    });
-    for (auto& h : hits) EXPECT_EQ(h.load(), 1) << "chunk " << chunk;
-  }
 }
 
 TEST(ThreadPool, ParallelForFewerItemsThanWorkers) {

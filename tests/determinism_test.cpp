@@ -128,9 +128,11 @@ TEST(Determinism, PlanReuseBitwiseIdentical) {
 
 TEST(Determinism, RepMatchesSeedCombineOrder) {
   // Seed rep: out[e], then private copies folded in ascending thread
-  // order. The tiled merge must reproduce this bitwise.
+  // order. The tiled merge must reproduce this bitwise at every thread
+  // count CI runs: this is the one merge order rep has.
   const ReductionInput in = build_input(700, 3000, 3, 0.6, 2, 42);
-  for (const unsigned P : {1u, 2u, 4u}) {
+  for (const unsigned P : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE("P=" + std::to_string(P));
     ThreadPool pool(P);
     const auto got = run_scheme(SchemeKind::kRep, in, pool);
     const SerialPartials sp = serial_partials(in, P);
@@ -162,48 +164,50 @@ TEST(Determinism, LinkedAndHashMatchAscendingThreadOrder) {
 TEST(Determinism, SelectiveMatchesSeedCombineOrder) {
   // Seed sel: exclusive elements accumulate straight into out in the
   // owning thread's iteration order; shared elements privatize and fold in
-  // ascending thread order.
+  // ascending thread order, at every thread count CI runs.
   const ReductionInput in = build_input(300, 2000, 3, 0.4, 1, 9);
-  const unsigned P = 4;
-  ThreadPool pool(P);
-  const auto got = run_scheme(SchemeKind::kSelective, in, pool);
-
-  // Classify shared elements exactly as the inspector does.
   const auto& ptr = in.pattern.refs.row_ptr();
   const auto& idx = in.pattern.refs.indices();
-  std::vector<int> owner(in.pattern.dim, -1);
-  std::vector<bool> shared(in.pattern.dim, false);
-  for (unsigned t = 0; t < P; ++t) {
-    const Range rg = static_block(in.pattern.iterations(), t, P);
-    for (std::size_t i = rg.begin; i < rg.end; ++i)
-      for (std::uint64_t j = ptr[i]; j < ptr[i + 1]; ++j) {
-        const std::uint32_t e = idx[j];
-        if (owner[e] < 0)
-          owner[e] = static_cast<int>(t);
-        else if (owner[e] != static_cast<int>(t))
-          shared[e] = true;
-      }
-  }
-  std::vector<double> ref(in.pattern.dim, 0.0);
-  std::vector<std::vector<double>> priv(
-      P, std::vector<double>(in.pattern.dim, 0.0));
-  for (unsigned t = 0; t < P; ++t) {
-    const Range rg = static_block(in.pattern.iterations(), t, P);
-    for (std::size_t i = rg.begin; i < rg.end; ++i) {
-      const double s = iteration_scale(i, in.pattern.body_flops);
-      for (std::uint64_t j = ptr[i]; j < ptr[i + 1]; ++j) {
-        const std::uint32_t e = idx[j];
-        if (shared[e])
-          priv[t][e] += in.values[j] * s;
-        else
-          ref[e] += in.values[j] * s;
+  for (const unsigned P : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE("P=" + std::to_string(P));
+    ThreadPool pool(P);
+    const auto got = run_scheme(SchemeKind::kSelective, in, pool);
+
+    // Classify shared elements exactly as the inspector does.
+    std::vector<int> owner(in.pattern.dim, -1);
+    std::vector<bool> shared(in.pattern.dim, false);
+    for (unsigned t = 0; t < P; ++t) {
+      const Range rg = static_block(in.pattern.iterations(), t, P);
+      for (std::size_t i = rg.begin; i < rg.end; ++i)
+        for (std::uint64_t j = ptr[i]; j < ptr[i + 1]; ++j) {
+          const std::uint32_t e = idx[j];
+          if (owner[e] < 0)
+            owner[e] = static_cast<int>(t);
+          else if (owner[e] != static_cast<int>(t))
+            shared[e] = true;
+        }
+    }
+    std::vector<double> ref(in.pattern.dim, 0.0);
+    std::vector<std::vector<double>> priv(
+        P, std::vector<double>(in.pattern.dim, 0.0));
+    for (unsigned t = 0; t < P; ++t) {
+      const Range rg = static_block(in.pattern.iterations(), t, P);
+      for (std::size_t i = rg.begin; i < rg.end; ++i) {
+        const double s = iteration_scale(i, in.pattern.body_flops);
+        for (std::uint64_t j = ptr[i]; j < ptr[i + 1]; ++j) {
+          const std::uint32_t e = idx[j];
+          if (shared[e])
+            priv[t][e] += in.values[j] * s;
+          else
+            ref[e] += in.values[j] * s;
+        }
       }
     }
+    for (std::size_t e = 0; e < ref.size(); ++e)
+      if (shared[e])
+        for (unsigned q = 0; q < P; ++q) ref[e] += priv[q][e];
+    expect_bitwise_equal(got, ref, "sel vs seed order");
   }
-  for (std::size_t e = 0; e < ref.size(); ++e)
-    if (shared[e])
-      for (unsigned q = 0; q < P; ++q) ref[e] += priv[q][e];
-  expect_bitwise_equal(got, ref, "sel vs seed order");
 }
 
 TEST(Determinism, LocalWriteMatchesSeedCombineOrder) {

@@ -1,5 +1,4 @@
-// Kernel backends, aligned buffers, topology reader and the topology-aware
-// combine schedule.
+// Kernel backends, aligned buffers and the topology reader.
 //
 // The contracts pinned here:
 //   * every compiled+usable backend's fill/merge matches a plain C++ loop
@@ -10,13 +9,10 @@
 //     write nothing past the block; every scheme's output is bitwise the
 //     same under every backend on Fig. 3 rows;
 //   * AlignedBuffer delivers 64-byte storage (the backends' assumption);
-//   * CombineSchedule partitions [0, P) exactly, the grouped rep/sel merge
-//     is deterministic, agrees with the flat merge under the summation
-//     error bound, and degenerates to the flat (bitwise-historical) order
-//     when every group has one worker.
+//   * the sysfs cpulist parser and the host probe behind result metadata.
+// The rep/sel merge order itself is pinned bitwise in determinism_test.cpp.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -25,11 +21,8 @@
 
 #include "common/aligned.hpp"
 #include "common/topology.hpp"
-#include "differential_cases.hpp"
 #include "reductions/kernels.hpp"
 #include "reductions/registry.hpp"
-#include "reductions/scheme_rep.hpp"
-#include "reductions/scheme_sel.hpp"
 #include "workloads/paramsets.hpp"
 
 namespace sapp {
@@ -298,185 +291,6 @@ TEST(Topology, HostProbeIsSaneAndSummarizes) {
   for (const auto& n : t.nodes) cpus += static_cast<unsigned>(n.cpus.size());
   EXPECT_EQ(cpus, t.total_cpus);
   EXPECT_FALSE(t.summary().empty());
-}
-
-TEST(CombineScheduleTest, EqualGroupsPartitionExactly) {
-  for (const unsigned P : {1u, 2u, 3u, 7u, 8u, 16u}) {
-    for (const unsigned G : {1u, 2u, 3u, 5u, 16u, 40u}) {
-      const CombineSchedule s = CombineSchedule::equal_groups(P, G);
-      ASSERT_FALSE(s.groups.empty()) << P << "/" << G;
-      EXPECT_LE(s.group_count(), static_cast<std::size_t>(std::min(P, G)));
-      std::size_t expect_begin = 0;
-      for (const Range& g : s.groups) {
-        EXPECT_EQ(g.begin, expect_begin);
-        EXPECT_FALSE(g.empty());
-        expect_begin = g.end;
-      }
-      EXPECT_EQ(expect_begin, P);
-      for (unsigned tid = 0; tid < P; ++tid) {
-        const Range& g = s.group_of(tid);
-        EXPECT_TRUE(tid >= g.begin && tid < g.end) << P << "/" << G;
-      }
-    }
-  }
-}
-
-TEST(CombineScheduleTest, FromTopologySplitsProportionally) {
-  CpuTopology t;
-  t.nodes.push_back({0, {0, 1, 2, 3}});
-  t.nodes.push_back({1, {4, 5, 6, 7}});
-  t.total_cpus = 8;
-  const CombineSchedule s = CombineSchedule::from_topology(8, t);
-  ASSERT_EQ(s.group_count(), 2u);
-  EXPECT_EQ(s.groups[0].begin, 0u);
-  EXPECT_EQ(s.groups[0].end, 4u);
-  EXPECT_EQ(s.groups[1].end, 8u);
-
-  // Uneven shares: 2-cpu + 6-cpu nodes, 4 workers -> 1 + 3.
-  CpuTopology u;
-  u.nodes.push_back({0, {0, 1}});
-  u.nodes.push_back({1, {2, 3, 4, 5, 6, 7}});
-  u.total_cpus = 8;
-  const CombineSchedule s2 = CombineSchedule::from_topology(4, u);
-  ASSERT_EQ(s2.group_count(), 2u);
-  EXPECT_EQ(s2.groups[0].end, 1u);
-  EXPECT_EQ(s2.groups[1].end, 4u);
-
-  // Fewer workers than nodes: empty blocks are dropped, union still exact.
-  const CombineSchedule s3 = CombineSchedule::from_topology(1, t);
-  ASSERT_EQ(s3.group_count(), 1u);
-  EXPECT_EQ(s3.groups[0].end, 1u);
-
-  // Single node is flat.
-  CpuTopology one;
-  one.nodes.push_back({0, {0, 1}});
-  one.total_cpus = 2;
-  EXPECT_TRUE(CombineSchedule::from_topology(2, one).flat());
-}
-
-TEST(CombineScheduleTest, ForceGroupsOverridesAndRestores) {
-  topology::force_groups(3);
-  const CombineSchedule s = CombineSchedule::for_workers(6);
-  EXPECT_EQ(s.group_count(), 3u);
-  EXPECT_NE(topology::policy_summary().find("forced"), std::string::npos);
-  topology::force_groups(0);
-  // This host/CI runs single-node (or flat fallback): back to flat.
-  EXPECT_LE(CombineSchedule::for_workers(6).group_count(),
-            CpuTopology::host().nodes.size());
-}
-
-// -------------------------------------- grouped (hierarchical) combine
-
-/// Reference ascending-thread-order fold (the flat contract) computed with
-/// plain vectors — mirrors op_thread_fold in scheme_differential_test.cpp.
-template <typename Op>
-std::vector<double> flat_fold_reference(const ReductionInput& in,
-                                        unsigned P) {
-  const auto& ptr = in.pattern.refs.row_ptr();
-  const auto& idx = in.pattern.refs.indices();
-  std::vector<std::vector<double>> val(
-      P, std::vector<double>(in.pattern.dim, Op::neutral()));
-  for (unsigned t = 0; t < P; ++t) {
-    const Range rg = static_block(in.pattern.iterations(), t, P);
-    for (std::size_t i = rg.begin; i < rg.end; ++i) {
-      const double s = iteration_scale(i, in.pattern.body_flops);
-      for (std::uint64_t j = ptr[i]; j < ptr[i + 1]; ++j)
-        val[t][idx[j]] = Op::apply(val[t][idx[j]], in.values[j] * s);
-    }
-  }
-  std::vector<double> out(in.pattern.dim, Op::neutral());
-  for (std::size_t e = 0; e < in.pattern.dim; ++e)
-    for (unsigned t = 0; t < P; ++t)
-      out[e] = Op::apply(out[e], val[t][e]);
-  return out;
-}
-
-class GroupedCombine : public ::testing::Test {
- protected:
-  void TearDown() override { topology::force_groups(0); }
-};
-
-TEST_F(GroupedCombine, SingletonGroupsReproduceTheFlatOrderBitwise) {
-  // G == P makes every group one worker: stage 2 folds the "leaders" in
-  // ascending order, which IS the flat historical order.
-  const unsigned P = 4;
-  ThreadPool pool(P);
-  const auto c = difftest::derive_case(11);
-  const ReductionInput in = difftest::build_input(c, 11);
-  RepScheme<SumOp<double>> rep;
-
-  topology::force_groups(0);
-  std::vector<double> flat(in.pattern.dim, 0.0);
-  (void)rep.run(in, pool, flat);
-
-  topology::force_groups(P);
-  std::vector<double> grouped(in.pattern.dim, 0.0);
-  (void)rep.run(in, pool, grouped);
-
-  ASSERT_EQ(std::memcmp(flat.data(), grouped.data(),
-                        flat.size() * sizeof(double)),
-            0);
-}
-
-TEST_F(GroupedCombine, GroupedMergeIsDeterministicAndErrorBounded) {
-  constexpr double eps = std::numeric_limits<double>::epsilon();
-  for (const int ci : {3, 22, 41}) {
-    const auto c = difftest::derive_case(ci);
-    const unsigned P = 4;
-    ThreadPool pool(P);
-    const ReductionInput in = difftest::build_input(c, ci);
-    const std::vector<double> ref =
-        flat_fold_reference<SumOp<double>>(in, P);
-
-    // Per-element absolute-contribution sums for the reassociation bound.
-    std::vector<double> abs(in.pattern.dim, 0.0);
-    std::vector<std::size_t> cnt(in.pattern.dim, 0);
-    const auto& ptr = in.pattern.refs.row_ptr();
-    const auto& idx = in.pattern.refs.indices();
-    for (std::size_t i = 0; i < in.pattern.iterations(); ++i) {
-      const double s = iteration_scale(i, in.pattern.body_flops);
-      for (std::uint64_t j = ptr[i]; j < ptr[i + 1]; ++j) {
-        abs[idx[j]] += std::abs(in.values[j] * s);
-        ++cnt[idx[j]];
-      }
-    }
-
-    for (const unsigned G : {2u, 3u}) {
-      topology::force_groups(G);
-      RepScheme<SumOp<double>> rep;
-      SelectiveScheme<SumOp<double>> sel;
-      for (Scheme* scheme : {static_cast<Scheme*>(&rep),
-                             static_cast<Scheme*>(&sel)}) {
-        std::vector<double> out1(in.pattern.dim, 0.0);
-        (void)scheme->run(in, pool, out1);
-        std::vector<double> out2(in.pattern.dim, 0.0);
-        (void)scheme->run(in, pool, out2);
-        ASSERT_EQ(std::memcmp(out1.data(), out2.data(),
-                              out1.size() * sizeof(double)),
-                  0)
-            << "case " << ci << " G=" << G << ": nondeterministic";
-        for (std::size_t e = 0; e < out1.size(); ++e) {
-          const double bound =
-              (4.0 + static_cast<double>(cnt[e])) * eps * abs[e] +
-              std::numeric_limits<double>::denorm_min();
-          ASSERT_LE(std::abs(out1[e] - ref[e]), bound)
-              << "case " << ci << " G=" << G << " element " << e;
-        }
-      }
-
-      // Exact operators: any grouping is bitwise-identical to flat.
-      RepScheme<MaxOp<double>> repmax;
-      std::vector<double> gmax(in.pattern.dim, MaxOp<double>::neutral());
-      (void)repmax.run(in, pool, gmax);
-      const std::vector<double> refmax =
-          flat_fold_reference<MaxOp<double>>(in, P);
-      ASSERT_EQ(std::memcmp(gmax.data(), refmax.data(),
-                            gmax.size() * sizeof(double)),
-                0)
-          << "case " << ci << " G=" << G << ": max not bitwise";
-    }
-    topology::force_groups(0);
-  }
 }
 
 }  // namespace

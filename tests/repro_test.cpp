@@ -286,19 +286,20 @@ TEST(ReproValidate, CatchesSchemaViolations) {
   no_tables.set("tables", JsonValue::array());
   EXPECT_NE(validate_result_json(no_tables), "");
 
-  // Schema v2: the environment block is required and fully typed.
+  // The environment block is required and fully typed; since v3 it has
+  // no combine-schedule key (there is one merge order).
   JsonValue bad_env = good;
   bad_env.set("environment", JsonValue::object());
   EXPECT_NE(validate_result_json(bad_env), "");
   const JsonValue* env = good.find("environment");
   ASSERT_NE(env, nullptr);
-  for (const char* key :
-       {"backend", "isa", "dispatch", "topology", "combine"}) {
+  for (const char* key : {"backend", "isa", "dispatch", "topology"}) {
     const JsonValue* v = env->find(key);
     ASSERT_NE(v, nullptr) << key;
     EXPECT_TRUE(v->is_string()) << key;
     EXPECT_FALSE(v->as_string().empty()) << key;
   }
+  EXPECT_EQ(env->find("combine"), nullptr);
 }
 
 TEST(ReproResult, RowWidthMismatchIsFatal) {

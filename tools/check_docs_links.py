@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Markdown link and experiment-coverage checker for README.md and docs/.
+"""Markdown link, experiment-coverage and reference-schema checker.
 
-Two checks, both standard-library only:
+Three checks, all standard-library only:
 
 1. Every relative link and image target in the repo's markdown
    documentation resolves to an existing file or directory, so refactors
@@ -19,11 +19,18 @@ Two checks, both standard-library only:
    directory's index.md names a registered experiment, so deleting an
    experiment cannot leave its numbers behind.
 
+3. Every committed reference result (docs/results/*/*.json) carries the
+   `schema_version` that src/repro/result.hpp declares as kSchemaVersion,
+   and its `environment` block has every key that validate_result_json in
+   src/repro/result.cpp requires — a schema change cannot leave stale
+   references behind.
+
 Exit code: 0 = everything resolves, 1 = problems (each printed as
 file:line: target or as a coverage message).
 """
 from __future__ import annotations
 
+import json
 import re
 import sys
 from pathlib import Path
@@ -151,6 +158,46 @@ def check_orphaned_results(results: Path, registered: set[str]) -> list[str]:
     return errors
 
 
+# `inline constexpr int kSchemaVersion = 3;` in src/repro/result.hpp, and
+# the environment key loop of validate_result_json in src/repro/result.cpp.
+SCHEMA_VERSION = re.compile(r"kSchemaVersion\s*=\s*(\d+)\s*;")
+ENV_KEYS = re.compile(
+    r'doc\.find\("environment"\);\s*for\s*\(const char\*\s*key\s*:\s*\{([^}]*)\}')
+
+
+def check_reference_schema(root: Path) -> list[str]:
+    """Committed result JSON that the current validator would reject."""
+    hpp = (root / "src" / "repro" / "result.hpp").read_text(encoding="utf-8")
+    cpp = (root / "src" / "repro" / "result.cpp").read_text(encoding="utf-8")
+    version = SCHEMA_VERSION.search(hpp)
+    keys = ENV_KEYS.search(cpp)
+    if version is None or keys is None:
+        return ["cannot find kSchemaVersion in src/repro/result.hpp or the "
+                "environment keys in src/repro/result.cpp (idiom changed? "
+                "update check_docs_links.py)"]
+    want = int(version.group(1))
+    env_keys = re.findall(r'"([A-Za-z0-9_]+)"', keys.group(1))
+    errors: list[str] = []
+    for f in sorted((root / "docs" / "results").glob("*/*.json")):
+        rel = f.relative_to(root)
+        try:
+            doc = json.loads(f.read_text(encoding="utf-8"))
+        except (OSError, ValueError) as e:
+            errors.append(f"{rel}: not readable JSON ({e})")
+            continue
+        got = doc.get("schema_version")
+        if got != want:
+            errors.append(f"{rel}: schema_version {got}, but kSchemaVersion "
+                          f"is {want} (regenerate with sapp_repro)")
+        env = doc.get("environment")
+        missing = [k for k in env_keys
+                   if not isinstance(env, dict) or k not in env]
+        if missing:
+            errors.append(f"{rel}: environment lacks required key(s) "
+                          f"{', '.join(missing)}")
+    return errors
+
+
 def main() -> int:
     root = Path(__file__).resolve().parent.parent
     errors: list[str] = []
@@ -163,6 +210,7 @@ def main() -> int:
         errors.extend(check_file(md, root))
     experiments = registered_experiments(root)
     errors.extend(check_experiment_coverage(root, experiments))
+    errors.extend(check_reference_schema(root))
     if errors:
         print(f"{len(errors)} problem(s) across {checked} markdown file(s) "
               f"and {len(experiments)} registered experiment(s):")
@@ -172,7 +220,7 @@ def main() -> int:
     print(f"OK: all relative links resolve across {checked} markdown file(s); "
           f"all {len(experiments)} registered experiments are documented in "
           f"docs/reproducing.md with committed reference results, and no "
-          f"reference result is orphaned")
+          f"reference result is orphaned or behind the result schema")
     return 0
 
 
