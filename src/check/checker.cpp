@@ -84,32 +84,6 @@ inline std::uint64_t magnitude(std::int64_t q) {
                : static_cast<std::uint64_t>(q);
 }
 
-/// Content fingerprint over three 64-index windows of the reference
-/// stream, part of the sampled-positions cache key: a stale cache hit
-/// would need a pattern reallocated at the same addresses, with the same
-/// sizes, matching all three windows. Every index enters a polynomial
-/// hash (one multiply-add), spread over eight independent lanes so the
-/// multiplies overlap instead of forming one 192-step dependency chain;
-/// one final mix folds the lanes.
-std::uint64_t pattern_fingerprint(const ReductionInput& in) {
-  constexpr std::uint64_t kMul = 0x9E3779B97F4A7C15ull;
-  constexpr std::size_t kLanes = 8;
-  const auto& idx = in.pattern.refs.indices();
-  const std::size_t n = idx.size();
-  std::uint64_t lane[kLanes];
-  for (std::size_t l = 0; l < kLanes; ++l) lane[l] = kMul * (n + 1 + l);
-  const std::size_t starts[3] = {0, n / 2, n > 64 ? n - 64 : 0};
-  for (const std::size_t s : starts) {
-    const std::size_t end = std::min(n, s + 64);
-    for (std::size_t k = s; k < end; k += kLanes)
-      for (std::size_t l = 0; l < kLanes && k + l < end; ++l)
-        lane[l] = (lane[l] + idx[k + l]) * kMul;
-  }
-  std::uint64_t h = 0;
-  for (const std::uint64_t v : lane) h = (h + v) * kMul;
-  return mix64(h);
-}
-
 /// Sampling block: one membership hash covers 2^kBlockShift consecutive
 /// elements, and a sampled block's elements occupy consecutive slots.
 constexpr unsigned kBlockShift = 4;
@@ -145,18 +119,6 @@ void select_blocks(SampledPositions& sel, std::size_t dim, double rate) {
   sel.sel_dim = dim;
   sel.sel_rate = rate;
   sel.sel_valid = true;
-}
-
-/// Cache key of `in`'s access pattern checked at `rate`.
-SampledPositions::Key pattern_key(const ReductionInput& in, double rate) {
-  return {.idx = in.pattern.refs.indices().data(),
-          .row_ptr = in.pattern.refs.row_ptr().data(),
-          .dim = in.pattern.dim,
-          .iters = in.pattern.iterations(),
-          .refs = in.pattern.refs.indices().size(),
-          .rate = rate,
-          .body_flops = in.pattern.body_flops,
-          .fingerprint = pattern_fingerprint(in)};
 }
 
 /// The per-slot accumulators of one begin(), passed by value so the fold
@@ -350,7 +312,8 @@ void ReductionChecker::begin(const ReductionInput& in,
   } else if (!cacheable) {
     fold_scan(in, cache.block_base, scale_table(in.pattern.body_flops), acc,
               nullptr);
-  } else if (const SampledPositions::Key key = pattern_key(in, rate);
+  } else if (const SampledPositions::Key key{in.pattern.refs.id(), dim, rate,
+                                             in.pattern.body_flops};
              cache.valid && key == cache.key) {
     fold_replay(in, cache.refs, acc);
     refs_folded_ = cache.refs.size();

@@ -92,8 +92,8 @@ struct CheckReport {
 ///   * the block selection — which elements are sampled and the slot of
 ///     each — depends only on (dim, rate), so a repeat begin() neither
 ///     hashes the dim/16 blocks nor rebuilds the per-block map;
-///   * the sampled positions of one access pattern: on a fold over a
-///     pattern already seen (same Key), only the reference positions
+///   * the sampled positions of one access pattern: on a fold over the
+///     same reference stream (same Key), only the reference positions
 ///     that hit sampled blocks are replayed — O(rate·refs) instead of
 ///     O(refs). The record is sorted by slot, stably, so a replay folds
 ///     each slot's run in registers, in the recording scan's order; the
@@ -102,20 +102,16 @@ struct CheckReport {
 /// alternately (AdaptiveReducer, one per site) passes its own to begin(),
 /// so the sites do not evict each other.
 struct SampledPositions {
-  /// Identity of an access pattern: buffer addresses and sizes plus a
-  /// content fingerprint over three 64-index windows of the reference
-  /// stream. A stale hit would need a reallocation at the same addresses
-  /// with the same sizes and matching windows — the checker otherwise
-  /// rescans, so mutated patterns only cost the cache, never the verdict.
+  /// What the recorded positions are valid for: the exact reference
+  /// stream (`Csr::id()`, equal only for copies of one construction), the
+  /// output size and rate that fixed the block selection, and the body
+  /// whose iteration scales were recorded. A pattern rebuilt with equal
+  /// rows is a new id and rescans.
   struct Key {
-    const void* idx = nullptr;
-    const void* row_ptr = nullptr;
+    std::uint64_t id = 0;
     std::size_t dim = 0;
-    std::size_t iters = 0;
-    std::size_t refs = 0;
     double rate = 0.0;
     unsigned body_flops = 0;
-    std::uint64_t fingerprint = 0;
     bool operator==(const Key&) const = default;
   };
   /// One recorded reference: its position j in the stream, the sampled
@@ -188,7 +184,6 @@ class ReductionChecker {
   [[nodiscard]] std::uint64_t input_checksum() const { return checksum_; }
 
   [[nodiscard]] std::size_t slots_sampled() const { return before_.size(); }
-  [[nodiscard]] double begin_seconds() const { return begin_s_; }
 
   /// The sampling predicate, exposed so tests and the fault-injection
   /// experiment can compute the analytical detection probability exactly:

@@ -5,6 +5,7 @@
 // inspector's dependence lists.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <span>
 #include <utility>
@@ -17,6 +18,9 @@ namespace sapp {
 /// Rows of variable-length index lists stored contiguously.
 /// `row_ptr` has `rows()+1` entries; row r occupies
 /// `indices[row_ptr[r] .. row_ptr[r+1])`.
+/// Immutable once built, with an exact identity: each construction from
+/// arrays stamps a process-unique `id()`, copies keep it and a move hands
+/// it over; an empty default-constructed or moved-from Csr reads 0.
 class Csr {
  public:
   Csr() = default;
@@ -24,10 +28,25 @@ class Csr {
   /// Adopt prebuilt arrays. `row_ptr` must be non-decreasing, start at 0 and
   /// end at `indices.size()`.
   Csr(std::vector<std::uint64_t> row_ptr, std::vector<std::uint32_t> indices)
-      : row_ptr_(std::move(row_ptr)), indices_(std::move(indices)) {
+      : row_ptr_(std::move(row_ptr)),
+        indices_(std::move(indices)),
+        id_(next_id_.fetch_add(1, std::memory_order_relaxed)) {
     SAPP_REQUIRE(!row_ptr_.empty() && row_ptr_.front() == 0 &&
                      row_ptr_.back() == indices_.size(),
                  "malformed CSR row pointer");
+  }
+
+  Csr(const Csr&) = default;
+  Csr& operator=(const Csr&) = default;
+  Csr(Csr&& o) noexcept
+      : row_ptr_(std::exchange(o.row_ptr_, {})),
+        indices_(std::exchange(o.indices_, {})),
+        id_(std::exchange(o.id_, 0)) {}
+  Csr& operator=(Csr&& o) noexcept {
+    row_ptr_ = std::exchange(o.row_ptr_, {});
+    indices_ = std::exchange(o.indices_, {});
+    id_ = std::exchange(o.id_, 0);
+    return *this;
   }
 
   /// Build from a list of (row, index) pairs via counting sort.
@@ -64,13 +83,14 @@ class Csr {
   [[nodiscard]] const std::vector<std::uint32_t>& indices() const {
     return indices_;
   }
-  [[nodiscard]] std::vector<std::uint32_t>& mutable_indices() {
-    return indices_;
-  }
+  [[nodiscard]] std::uint64_t id() const { return id_; }
 
  private:
+  inline static std::atomic<std::uint64_t> next_id_{1};
+
   std::vector<std::uint64_t> row_ptr_;
   std::vector<std::uint32_t> indices_;
+  std::uint64_t id_ = 0;
 };
 
 }  // namespace sapp

@@ -47,11 +47,17 @@ void AdaptiveReducer::characterize_and_decide(const AccessPattern& p) {
 }
 
 void AdaptiveReducer::adopt(SchemeKind kind, const AccessPattern& p) {
+  scheme_ = make_scheme(kind);
+  replan(p);
+}
+
+void AdaptiveReducer::replan(const AccessPattern& p) {
   // Free the old plan first: a rep plan holds a private copy of the
   // output per thread, and two live at once would set the peak RSS.
   plan_.reset();
-  scheme_ = make_scheme(kind);
   plan_ = scheme_->plan(p, pool_.size());
+  plan_refs_id_ = p.refs.id();
+  plan_dim_ = p.dim;
 }
 
 SchemeResult AdaptiveReducer::execute_arbitrated(const ReductionInput& in,
@@ -129,8 +135,15 @@ SchemeResult AdaptiveReducer::invoke(const ReductionInput& in,
       characterize_and_decide(in.pattern);
     }
     warm_.reset();
-  } else if (monitor_.observe(PatternSignature::of(in.pattern))) {
-    characterize_and_decide(in.pattern);
+  } else if (in.pattern.refs.id() != plan_refs_id_ ||
+             in.pattern.dim != plan_dim_) {
+    // Never run a plan on a foreign pattern: significant drift (or a
+    // scheme that cannot run it) re-decides, anything smaller re-plans.
+    if (monitor_.observe(PatternSignature::of(in.pattern)) ||
+        !scheme_->applicable(in.pattern))
+      characterize_and_decide(in.pattern);
+    else
+      replan(in.pattern);
   }
   const double adapt_s = inspect_timer.seconds();
 

@@ -12,8 +12,9 @@
 //     invocations each, and the site keeps the one with the lowest
 //     minimum — the Fig. 1 "monitor performance and adapt" loop realized
 //     as library code;
-//   * later invocations: reuse scheme + plan while the pattern is stable;
-//   * demotion — pattern-fingerprint drift (PhaseMonitor), the kept
+//   * later invocations: reuse scheme + plan while `refs.id()` and dim
+//     match the plan's; another pattern re-plans, or re-decides on drift;
+//   * demotion — pattern-signature drift (PhaseMonitor), the kept
 //     scheme's windowed minimum leaving its settled band (SchemeTrial), or
 //     a failed in-flight check — re-characterizes and re-decides.
 //
@@ -96,7 +97,7 @@ class AdaptiveReducer {
   [[nodiscard]] const Decision& decision() const { return decision_; }
   /// Stats of the last characterization.
   [[nodiscard]] const PatternStats& stats() const { return stats_; }
-  /// Drift monitor (exposes the base/last pattern signatures).
+  /// Drift monitor (exposes the last observed signature and the drift).
   [[nodiscard]] const PhaseMonitor& monitor() const { return monitor_; }
   /// Measured trial and timing demotion (exposes the settled baseline).
   [[nodiscard]] const SchemeTrial& trial() const { return trial_; }
@@ -137,6 +138,8 @@ class AdaptiveReducer {
  private:
   void characterize_and_decide(const AccessPattern& p);
   void adopt(SchemeKind kind, const AccessPattern& p);
+  /// Rebuild the current scheme's plan for `p` and record its identity.
+  void replan(const AccessPattern& p);
   /// False for a `seq` site: it runs on the caller thread and takes no
   /// pool arbiter.
   [[nodiscard]] bool on_pool() const {
@@ -157,6 +160,9 @@ class AdaptiveReducer {
 
   std::unique_ptr<Scheme> scheme_;
   std::unique_ptr<SchemePlan> plan_;
+  /// Identity of the pattern plan_ was built for.
+  std::uint64_t plan_refs_id_ = 0;
+  std::size_t plan_dim_ = 0;
   Decision decision_{};
   PatternStats stats_{};
 

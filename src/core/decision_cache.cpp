@@ -114,7 +114,6 @@ std::string DecisionCache::to_json() const {
             static_cast<unsigned long long>(e.signature.iterations));
     sig.set("refs", static_cast<unsigned long long>(e.signature.refs));
     sig.set("index_sum", to_hex(e.signature.sampled_index_sum));
-    sig.set("index_xor", to_hex(e.signature.sampled_index_xor));
     s.set("signature", std::move(sig));
     s.set("min_time_s", e.min_time_s);
     s.set("invocations", static_cast<unsigned long long>(e.invocations));
@@ -165,9 +164,9 @@ std::optional<DecisionCache> DecisionCache::from_json(std::string_view text,
     const auto dim = read_count<std::size_t>(sig->find("dim"));
     const auto iterations = read_count<std::size_t>(sig->find("iterations"));
     const auto refs = read_count<std::size_t>(sig->find("refs"));
+    // An `index_xor` key, which older builds wrote, is ignored.
     if (!dim || !iterations || !refs ||
-        !read_hex(*sig, "index_sum", d.signature.sampled_index_sum) ||
-        !read_hex(*sig, "index_xor", d.signature.sampled_index_xor))
+        !read_hex(*sig, "index_sum", d.signature.sampled_index_sum))
       return fail("malformed signature for site '" + d.site + "'");
     d.signature.dim = *dim;
     d.signature.iterations = *iterations;

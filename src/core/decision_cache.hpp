@@ -72,9 +72,8 @@ class DecisionCache {
   /// Does a cached decision still apply to the pattern `sig` under
   /// `threads` workers? Dimension and thread count must match exactly;
   /// iteration, reference and sampled-index-sum counts may each drift by
-  /// at most `tolerance` (relative). The xor fingerprint is deliberately
-  /// not compared — any reordering flips it, and the cache must tolerate
-  /// benign run-to-run perturbation.
+  /// at most `tolerance` (relative), so benign run-to-run perturbation
+  /// still warm-starts.
   [[nodiscard]] static bool matches(const CachedDecision& d,
                                     const PatternSignature& sig,
                                     unsigned threads, double tolerance);

@@ -12,11 +12,8 @@ PatternSignature PatternSignature::of(const AccessPattern& p,
   s.refs = p.refs.nnz();
   const auto& idx = p.refs.indices();
   if (sample_stride == 0) sample_stride = 1;
-  for (std::size_t j = 0; j < idx.size(); j += sample_stride) {
+  for (std::size_t j = 0; j < idx.size(); j += sample_stride)
     s.sampled_index_sum += idx[j];
-    s.sampled_index_xor ^= (static_cast<std::uint64_t>(idx[j]) * 0x9E3779B9u)
-                           << (j % 17);
-  }
   return s;
 }
 

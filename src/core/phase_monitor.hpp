@@ -5,12 +5,12 @@
 //  changes are significant enough (a threshold that is tested at run-time)
 //  then a re-characterization of the reference pattern is needed."
 //
-// `PhaseMonitor` watches one loop site's access pattern: a cheap
-// `PatternSignature` of each invocation is compared against the previous
-// one, and relative change accumulates, so slow continuous drift adds up
-// while transient jitter does not (`kPatternThreshold`). Drift in the
-// *measured time* of the kept scheme is SchemeTrial's (core/trial.hpp).
-// See docs/adaptivity.md for the full decision lifecycle.
+// `PhaseMonitor` watches one loop site's access pattern: the cheap
+// `PatternSignature` of each new pattern (new `Csr::id()`) is compared
+// with the previous one, and relative change accumulates, so slow drift
+// adds up while transient jitter does not (`kPatternThreshold`). Drift
+// in the *measured time* of the kept scheme is SchemeTrial's
+// (core/trial.hpp); docs/adaptivity.md walks the decision lifecycle.
 #pragma once
 
 #include <cstdint>
@@ -26,7 +26,6 @@ struct PatternSignature {
   std::size_t iterations = 0;
   std::size_t refs = 0;
   std::uint64_t sampled_index_sum = 0;
-  std::uint64_t sampled_index_xor = 0;
 
   static PatternSignature of(const AccessPattern& p,
                              std::size_t sample_stride = 64);
@@ -53,9 +52,7 @@ class PhaseMonitor {
   bool observe(const PatternSignature& sig);
 
   [[nodiscard]] double accumulated() const { return accumulated_; }
-  /// Signature at the last rebase (the characterized pattern).
-  [[nodiscard]] const PatternSignature& base() const { return base_; }
-  /// Signature of the most recently observed invocation.
+  /// Signature of the most recently observed pattern.
   [[nodiscard]] const PatternSignature& last() const { return last_; }
 
  private:

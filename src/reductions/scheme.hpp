@@ -97,8 +97,9 @@ class Scheme {
   }
 
   /// Execute the reduction, accumulating into `out` (size == pattern.dim).
-  /// `plan` must come from `this->plan` on the same pattern/thread count
-  /// (or be nullptr if the scheme needs none).
+  /// `plan` must come from `this->plan` on the same pattern (equal
+  /// `refs.id()` and dim) and thread count, or be nullptr if the scheme
+  /// needs none: a plan run on any other pattern can give wrong outputs.
   virtual SchemeResult execute(const SchemePlan* plan,
                                const ReductionInput& in, ThreadPool& pool,
                                std::span<double> out) const = 0;

@@ -289,6 +289,20 @@ TEST(Checker, SampledPositionsReplayIsBitwiseAFullScan) {
       EXPECT_LT(pos->refs.size(), in->pattern.num_refs());
     }
   }
+  // The recording is keyed on the pattern's exact identity: a copied
+  // input is the same Csr and replays; equal rows rebuilt as a new Csr
+  // rescan, and replay from then on.
+  const std::size_t recorded = pos_a.refs.size();
+  const ReductionInput copy = a;
+  ReductionInput rebuilt = a;
+  rebuilt.pattern.refs =
+      Csr(a.pattern.refs.row_ptr(), a.pattern.refs.indices());
+  EXPECT_EQ(expect_matches_fresh(shared, copy, co, &pos_a).refs_folded,
+            recorded);
+  EXPECT_EQ(expect_matches_fresh(shared, rebuilt, co, &pos_a).refs_folded,
+            a.pattern.num_refs());
+  EXPECT_EQ(expect_matches_fresh(shared, rebuilt, co, &pos_a).refs_folded,
+            recorded);
 }
 
 TEST(Checker, SampledPositionsReplayKeepsMinMaxWitnessesBitwise) {
@@ -321,12 +335,17 @@ TEST(Checker, SampledPositionsReplayKeepsMinMaxWitnessesBitwise) {
 }
 
 TEST(Checker, CachedSelectionFollowsDimAndRateChanges) {
-  // One positions cache sees a dim change, then a rate change; each new
-  // (dim, rate) must rebuild the block selection and re-record, and each
-  // repeat must replay — all bitwise equal to a fresh checker.
+  // One positions cache sees a dim change, then a rate change, then a
+  // copy and an equal rebuild of one pattern; each new (dim, rate) and the
+  // rebuilt Csr must re-record, and each repeat and the copy must replay
+  // — all bitwise equal to a fresh checker.
   const ReductionInput a = detection_input();
   const ReductionInput b = second_site_input();
   ASSERT_NE(a.pattern.dim, b.pattern.dim);
+  const ReductionInput a_copy = a;
+  ReductionInput a_rebuilt = a;
+  a_rebuilt.pattern.refs =
+      Csr(a.pattern.refs.row_ptr(), a.pattern.refs.indices());
   CheckerOptions quarter;
   quarter.enabled = true;
   quarter.sample_rate = 0.25;
@@ -339,7 +358,8 @@ TEST(Checker, CachedSelectionFollowsDimAndRateChanges) {
   } steps[] = {{&a, quarter, false},   {&a, quarter, true},
                {&b, quarter, false},   {&b, quarter, true},
                {&b, half, false},      {&b, half, true},
-               {&a, half, false}};
+               {&a, half, false},      {&a_copy, half, true},
+               {&a_rebuilt, half, false}, {&a_rebuilt, half, true}};
   ReductionChecker shared(quarter);
   SampledPositions pos;
   for (std::size_t k = 0; k < std::size(steps); ++k) {

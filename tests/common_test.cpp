@@ -304,6 +304,40 @@ TEST(Csr, RejectsMalformedRowPtr) {
   EXPECT_DEATH(Csr({0, 5}, {1, 2}), "malformed");
 }
 
+TEST(Csr, IdIsExactIdentity) {
+  // A copy is the same rows, so it keeps the id; equal arrays built twice
+  // are two constructions and read two ids.
+  const Csr a({0, 2, 3}, {4, 5, 6});
+  const Csr copy = a;
+  const Csr twin({0, 2, 3}, {4, 5, 6});
+  EXPECT_NE(a.id(), 0u);
+  EXPECT_EQ(copy.id(), a.id());
+  EXPECT_NE(twin.id(), a.id());
+  EXPECT_NE(twin.id(), 0u);
+  Csr assigned;
+  assigned = a;
+  EXPECT_EQ(assigned.id(), a.id());
+}
+
+TEST(Csr, MoveHandsTheIdOverAndLeavesAnEmptyZero) {
+  Csr src({0, 1, 3}, {7, 8, 9});
+  const std::uint64_t id = src.id();
+  Csr moved(std::move(src));
+  EXPECT_EQ(moved.id(), id);
+  EXPECT_EQ(moved.nnz(), 3u);
+  EXPECT_EQ(src.id(), 0u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(src.rows(), 0u);
+  EXPECT_EQ(src.nnz(), 0u);
+  Csr assigned;
+  assigned = std::move(moved);
+  EXPECT_EQ(assigned.id(), id);
+  EXPECT_EQ(moved.id(), 0u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(moved.rows(), 0u);
+  EXPECT_EQ(moved.nnz(), 0u);
+  EXPECT_EQ(Csr{}.id(), 0u);
+  EXPECT_EQ(Csr{}.rows(), 0u);
+}
+
 // ---------------- aligned ----------------
 
 TEST(Aligned, PaddedOccupiesFullCacheLine) {

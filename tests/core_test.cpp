@@ -3,11 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <map>
 
 #include "core/adaptive.hpp"
 #include "core/runtime.hpp"
 #include "scoped_temp_dir.hpp"
+#include "workloads/paramsets.hpp"
 #include "workloads/workload.hpp"
 
 namespace sapp {
@@ -426,6 +430,109 @@ TEST(AdaptiveReducer, MeasuredTrialLeavesAMispredictedPick) {
   EXPECT_NE(red.current(), SchemeKind::kRep);
 }
 
+// ---------------- plan identity: no plan runs on a foreign pattern ------
+
+/// Elements of `got` that differ from run_sequential(in) under the
+/// differential suite's policy: bitwise for lw (each owner replays its
+/// iterations in seq's order), otherwise beyond the reassociated-summation
+/// bound (4 + n)·eps·Σ|c| of the element's n contributions.
+std::size_t wrong_elements(const ReductionInput& in,
+                           const std::vector<double>& got, bool bitwise) {
+  std::vector<double> ref(in.pattern.dim, 0.0);
+  run_sequential(in, ref);
+  std::vector<double> abs(in.pattern.dim, 0.0);
+  std::vector<std::size_t> cnt(in.pattern.dim, 0);
+  const auto& ptr = in.pattern.refs.row_ptr();
+  const auto& idx = in.pattern.refs.indices();
+  for (std::size_t i = 0; i < in.pattern.iterations(); ++i) {
+    const double s = iteration_scale(i, in.pattern.body_flops);
+    for (std::uint64_t j = ptr[i]; j < ptr[i + 1]; ++j) {
+      abs[idx[j]] += std::abs(in.values[j] * s);
+      ++cnt[idx[j]];
+    }
+  }
+  constexpr double eps = std::numeric_limits<double>::epsilon();
+  std::size_t wrong = 0;
+  for (std::size_t e = 0; e < ref.size(); ++e) {
+    const bool ok =
+        bitwise ? std::memcmp(&got[e], &ref[e], sizeof(double)) == 0
+                : std::abs(got[e] - ref[e]) <=
+                      (4.0 + static_cast<double>(cnt[e])) * eps * abs[e] +
+                          std::numeric_limits<double>::denorm_min();
+    wrong += ok ? 0 : 1;
+  }
+  return wrong;
+}
+
+/// `in` with every 100th iteration's references moved by dim/2: the same
+/// sizes, and a sampled-index-sum drift far below the re-decide threshold.
+ReductionInput move_every_100th(const ReductionInput& in) {
+  const auto& ptr = in.pattern.refs.row_ptr();
+  std::vector<std::uint32_t> idx = in.pattern.refs.indices();
+  const std::size_t dim = in.pattern.dim;
+  for (std::size_t i = 0; i < in.pattern.iterations(); i += 100)
+    for (std::uint64_t j = ptr[i]; j < ptr[i + 1]; ++j)
+      idx[j] = static_cast<std::uint32_t>((idx[j] + dim / 2) % dim);
+  ReductionInput out = in;
+  out.pattern.refs = Csr(ptr, std::move(idx));
+  return out;
+}
+
+/// `in` with 10% more iterations: a copy of its first tenth appended.
+ReductionInput append_a_tenth(const ReductionInput& in) {
+  std::vector<std::uint64_t> ptr = in.pattern.refs.row_ptr();
+  std::vector<std::uint32_t> idx = in.pattern.refs.indices();
+  ReductionInput out = in;
+  const std::size_t iters = in.pattern.iterations();
+  for (std::size_t i = 0; i < iters / 10; ++i) {
+    for (std::uint64_t j = ptr[i]; j < ptr[i + 1]; ++j) {
+      idx.push_back(in.pattern.refs.indices()[j]);
+      out.values.push_back(in.values[j]);
+    }
+    ptr.push_back(idx.size());
+  }
+  out.pattern.refs = Csr(std::move(ptr), std::move(idx));
+  return out;
+}
+
+TEST(AdaptiveReducer, DriftBelowTheThresholdRebuildsThePlan) {
+  // A warm-started site keeps its scheme through drift too small to
+  // re-decide, but never its plan: every submit must match the
+  // sequential result. Four threads, because one thread has no partition
+  // that can go stale.
+  const auto rows = workloads::fig3_rows(0.05);
+  ThreadPool pool(4);
+  for (const std::size_t r : {0u, 4u, 8u, 12u, 14u}) {
+    const ReductionInput& a = rows[r].workload.input;
+    const ReductionInput b = move_every_100th(a);
+    const ReductionInput c = append_a_tenth(b);
+    for (const SchemeKind kind :
+         {SchemeKind::kRep, SchemeKind::kLocalWrite, SchemeKind::kLinked,
+          SchemeKind::kSelective, SchemeKind::kHash}) {
+      const std::string tag =
+          "row " + std::to_string(r) + " " + std::string(to_string(kind));
+      CachedDecision cached;
+      cached.scheme = kind;
+      cached.threads = pool.size();
+      cached.signature = PatternSignature::of(a.pattern);
+      AdaptiveReducer red(pool, MachineCoeffs::defaults());
+      red.warm_start(cached);
+      const ReductionInput* submits[] = {&a, &b, &c};
+      for (int k = 0; k < 3; ++k) {
+        const ReductionInput& in = *submits[k];
+        std::vector<double> out(in.pattern.dim, 0.0);
+        (void)red.invoke(in, out);
+        EXPECT_EQ(wrong_elements(in, out, kind == SchemeKind::kLocalWrite),
+                  0u)
+            << tag << ", submit " << k;
+      }
+      EXPECT_TRUE(red.warm_started()) << tag;
+      EXPECT_EQ(red.recharacterizations(), 0u) << tag;
+      EXPECT_EQ(red.current(), kind) << tag;
+    }
+  }
+}
+
 // ---------------- multi-site runtime + decision cache ----------------
 
 RuntimeOptions uncalibrated(unsigned threads) {
@@ -501,7 +608,6 @@ TEST(DecisionCache, JsonRoundTripPreservesEntries) {
   d.signature.iterations = 500;
   d.signature.refs = 1500;
   d.signature.sampled_index_sum = 0xFFFFFFFFFFFFFFull;  // > 2^53: hex str
-  d.signature.sampled_index_xor = 0xDEADBEEFCAFEBABEull;
   d.min_time_s = 0.00125;
   d.invocations = 7;
   d.rationale = "test \"quoted\" rationale";
@@ -514,7 +620,6 @@ TEST(DecisionCache, JsonRoundTripPreservesEntries) {
   EXPECT_EQ(e->scheme, SchemeKind::kSelective);
   EXPECT_EQ(e->threads, 4u);
   EXPECT_EQ(e->signature.sampled_index_sum, d.signature.sampled_index_sum);
-  EXPECT_EQ(e->signature.sampled_index_xor, d.signature.sampled_index_xor);
   EXPECT_DOUBLE_EQ(e->min_time_s, 0.00125);
   EXPECT_EQ(e->invocations, 7u);
   EXPECT_EQ(e->rationale, d.rationale);
@@ -713,6 +818,30 @@ TEST(Runtime, ThreadCountMismatchInvalidatesCachedDecision) {
   (void)rt.submit("site", in, out);
   EXPECT_FALSE(rt.site("site").warm_started());
   EXPECT_EQ(rt.site("site").recharacterizations(), 1u);
+}
+
+TEST(Runtime, AnonymousSameShapeLoopsAlternateCorrectly) {
+  // Two untagged loops of one shape share the `<anonymous dim=N>` site,
+  // so each submit presents the other loop's pattern: the site must
+  // rebuild its plan (or re-decide) every time, never run the other's.
+  const auto rows_a = workloads::fig3_rows(0.05, 2002);
+  const auto rows_b = workloads::fig3_rows(0.05, 2003);
+  for (const std::size_t r : {5u, 8u}) {
+    ReductionInput a = rows_a[r].workload.input;
+    ReductionInput b = rows_b[r].workload.input;
+    a.pattern.loop_id.clear();
+    b.pattern.loop_id.clear();
+    ASSERT_EQ(a.pattern.dim, b.pattern.dim) << "row " << r;
+    Runtime rt(uncalibrated(4));
+    for (int k = 0; k < 10; ++k) {
+      const ReductionInput& in = k % 2 == 0 ? a : b;
+      std::vector<double> out(in.pattern.dim, 0.0);
+      (void)rt.submit(in, out);
+      EXPECT_EQ(wrong_elements(in, out, false), 0u)
+          << "row " << r << ", submit " << k;
+    }
+    EXPECT_EQ(rt.site_count(), 1u);
+  }
 }
 
 }  // namespace

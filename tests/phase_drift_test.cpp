@@ -291,7 +291,6 @@ CachedDecision cache_entry() {
   d.signature.iterations = 300;
   d.signature.refs = 900;
   d.signature.sampled_index_sum = 123456;
-  d.signature.sampled_index_xor = 0xABCDEF;
   return d;
 }
 
