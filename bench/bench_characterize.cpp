@@ -1,8 +1,9 @@
 // Micro-benchmarks: cost of the run-time pattern characterization (§4's
-// "simple, fast ways to recognize" access patterns), exact vs. sampled —
-// the overhead SmartApps pays before it can decide. Uses Google Benchmark
-// when available; otherwise CMake builds this file against the vendored
-// microbench.hpp timer so the binary still exists on bare toolchains.
+// "simple, fast ways to recognize" access patterns), exact vs. sampled and
+// dense vs. sparse — the overhead SmartApps pays before it can decide. Uses
+// Google Benchmark when available; otherwise CMake builds this file against
+// the vendored microbench.hpp timer so the binary still exists on bare
+// toolchains.
 #if defined(SAPP_HAVE_GBENCH)
 #include <benchmark/benchmark.h>
 #else
@@ -37,6 +38,20 @@ void BM_CharacterizeExact(benchmark::State& state) {
                           static_cast<std::int64_t>(in.pattern.num_refs()));
 }
 
+// Irreg/do100's sparsest Fig. 3 row at scale 0.3: 12,000 references over
+// a 2,000,000-element array. Items are references, as in the dense case, so
+// any per-element (O(dim)) cost shows as a lower rate here.
+void BM_CharacterizeSparse(benchmark::State& state) {
+  const auto w = workloads::make_irreg(2000000, 5000, 6000, 2006);
+  for (auto _ : state) {
+    const PatternStats s = characterize(w.input.pattern, 8);
+    benchmark::DoNotOptimize(s.distinct);
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations()) *
+      static_cast<std::int64_t>(w.input.pattern.num_refs()));
+}
+
 void BM_CharacterizeSampled(benchmark::State& state) {
   const auto in = input();
   CharacterizeOptions opt;
@@ -59,6 +74,7 @@ void BM_PatternSignature(benchmark::State& state) {
 }  // namespace
 
 BENCHMARK(BM_CharacterizeExact)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CharacterizeSparse)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_CharacterizeSampled)
     ->Arg(4)
     ->Arg(16)

@@ -1,34 +1,67 @@
 #include "core/characterize.hpp"
 
 #include <algorithm>
+#include <limits>
+#include <memory>
 #include <numeric>
 
 #include "common/assert.hpp"
-#include "common/thread_pool.hpp"
-#include "reductions/scheme_lw.hpp"
 
 namespace sapp {
 
 namespace {
 
+/// Cache capacity behind the DIM measure: the paper's simulated L2 (512 KB).
+constexpr std::size_t kCacheBytes = 512 * 1024;
+/// The CH histogram's last bucket counts every element referenced at least
+/// this many times.
+constexpr std::size_t kChCap = 64;
+/// Reference counts below this are binned for the Gini sum; the rare larger
+/// ones are sorted.
+constexpr std::size_t kCountBins = 1024;
+/// An iteration up to this many references finds its distinct elements by
+/// comparing each reference against its own earlier ones; a longer one
+/// sorts a copy.
+constexpr std::size_t kShortIteration = 64;
+
+/// floor(e / blk) for any 32-bit e without a divide: the high word of
+/// e · ceil(2^64 / blk) (Lemire, Kaser & Kurz, "Faster remainder by direct
+/// computation", 2019). The multiplier needs a 65th bit when blk == 1.
+class BlockDivider {
+ public:
+  explicit BlockDivider(std::size_t blk)
+      : m_(static_cast<unsigned __int128>(
+               std::numeric_limits<std::uint64_t>::max() / blk) +
+           1) {}
+  [[nodiscard]] std::size_t operator()(std::uint32_t e) const {
+    return static_cast<std::size_t>((m_ * e) >> 64);
+  }
+
+ private:
+  unsigned __int128 m_;
+};
+
 /// Gini coefficient of the per-element reference counts: 0 when every
 /// referenced element is touched equally often, →1 when references pile
-/// onto few elements. This summarizes the CHD distribution.
-double gini_of_counts(const std::vector<std::uint32_t>& counts) {
-  std::vector<std::uint32_t> nz;
-  nz.reserve(counts.size());
-  for (auto c : counts)
-    if (c > 0) nz.push_back(c);
-  if (nz.size() < 2) return 0.0;
-  std::sort(nz.begin(), nz.end());
-  const double n = static_cast<double>(nz.size());
-  double cum = 0.0, weighted = 0.0;
-  for (std::size_t i = 0; i < nz.size(); ++i) {
-    cum += nz[i];
-    weighted += static_cast<double>(i + 1) * nz[i];
+/// onto few elements. This summarizes the CHD distribution. `bins[c]`
+/// holds how many elements were referenced c times, `large` the sorted
+/// counts past the bins; `total` is their sum. Σ rank·count is an exact
+/// integer, so the result equals the float sum over sorted counts while
+/// that sum stays below 2^53.
+double gini_of_counts(const std::vector<std::size_t>& bins,
+                      const std::vector<std::uint32_t>& large,
+                      std::size_t distinct, std::size_t total) {
+  if (distinct < 2) return 0.0;
+  std::uint64_t weighted = 0, rank = 0;
+  for (std::size_t c = 1; c < bins.size(); ++c) {
+    const std::uint64_t m = bins[c];
+    weighted += c * (m * rank + m * (m + 1) / 2);
+    rank += m;
   }
-  if (cum == 0.0) return 0.0;
-  return (2.0 * weighted) / (n * cum) - (n + 1.0) / n;
+  for (const std::uint32_t c : large) weighted += c * ++rank;
+  const double n = static_cast<double>(distinct);
+  const double cum = static_cast<double>(total);
+  return (2.0 * static_cast<double>(weighted)) / (n * cum) - (n + 1.0) / n;
 }
 
 }  // namespace
@@ -45,79 +78,107 @@ PatternStats characterize(const AccessPattern& p, unsigned threads,
   s.threads = threads;
   s.lw_legal = p.iteration_replication_legal;
 
-  const auto& ptr = p.refs.row_ptr();
-  const auto& idx = p.refs.indices();
+  const std::uint64_t* ptr = p.refs.row_ptr().data();
+  const std::uint32_t* idx = p.refs.indices().data();
   const std::size_t n = s.iterations;
   const std::size_t stride = opt.sample_stride;
 
-  // Per-element reference counts and per-thread touch masks, in one sweep
-  // over the (possibly sampled) iterations. kOwnerNone/kOwnerShared mirror
-  // the selective-privatization inspector.
+  // One pass over the (possibly sampled) references. Per element: a
+  // reference count and an owner byte; kOwnerNone/kOwnerShared mirror the
+  // selective-privatization inspector. Elements enter `touched` on their
+  // first reference, so the post-pass visits only those, never all of dim.
   std::vector<std::uint32_t> count(p.dim, 0);
   constexpr std::uint8_t kOwnerNone = 0xFF;
   constexpr std::uint8_t kOwnerShared = 0xFE;
   std::vector<std::uint8_t> owner(p.dim, kOwnerNone);
+  // One spare slot: the append below always writes, then advances only on
+  // a first touch.
+  const auto touched = std::make_unique_for_overwrite<std::uint32_t[]>(
+      std::min<std::size_t>(p.dim, p.refs.nnz()) + 1);
+  std::size_t distinct = 0;
 
   std::size_t sampled_iters = 0;
   std::size_t sampled_refs = 0;
   std::size_t sum_iter_distinct = 0;
   std::size_t sum_owner_sets = 0;  // Σ_i |owner threads of iteration i|
+  // Owner threads of an iteration (lw replication), via the block
+  // partition of the element space lw uses (LocalWriteScheme::owner_of).
+  const BlockDivider block_of(
+      std::max<std::size_t>(1, (p.dim + threads - 1) / threads));
   std::vector<std::size_t> lw_work(threads, 0);
-  std::vector<std::uint32_t> scratch;
+  // The last sampled iteration that counted partition t.
+  std::vector<std::size_t> last_counted(
+      threads, std::numeric_limits<std::size_t>::max());
+  std::vector<std::uint32_t> sorted;
 
+  unsigned tid = 0;
+  std::size_t next_tid_at = 0;  // first iteration past thread tid's block
   for (std::size_t i = 0; i < n; i += stride) {
     ++sampled_iters;
-    const unsigned tid = static_cast<unsigned>(
-        std::min<std::size_t>(threads - 1, i * threads / (n ? n : 1)));
+    if (i >= next_tid_at) {
+      tid = static_cast<unsigned>(
+          std::min<std::size_t>(threads - 1, i * threads / n));
+      next_tid_at = ((tid + 1) * n + threads - 1) / threads;
+    }
     // The owner byte packs thread ids next to the kOwnerNone/kOwnerShared
     // sentinels; on a > 253-thread pool ids clamp to one bucket, slightly
     // under-counting sharing between the highest threads. Approximate
     // stats beat aborting — this is the paper's "fast, approximative"
     // characterizer, and the schemes themselves are unaffected.
-    const unsigned otid = tid < 0xFDu ? tid : 0xFDu;
-    scratch.clear();
-    for (std::uint64_t j = ptr[i]; j < ptr[i + 1]; ++j) {
-      const std::uint32_t e = idx[j];
+    const auto otid = static_cast<std::uint8_t>(std::min(tid, 0xFDu));
+    const std::uint32_t* first = idx + ptr[i];
+    const std::uint32_t* last = idx + ptr[i + 1];
+    const bool short_iteration =
+        static_cast<std::size_t>(last - first) <= kShortIteration;
+    std::size_t uniq = 0;    // distinct elements of this iteration (MO)
+    std::size_t owners = 0;  // owner threads of this iteration (lw)
+    for (const std::uint32_t* r = first; r != last; ++r) {
+      const std::uint32_t e = *r;
       SAPP_ASSERT(e < p.dim, "element out of range");
-      ++count[e];
-      ++sampled_refs;
-      auto& o = owner[e];
-      if (o == kOwnerNone)
-        o = static_cast<std::uint8_t>(otid);
-      else if (o != otid && o != kOwnerShared)
-        o = kOwnerShared;
-      scratch.push_back(e);
+      const std::uint32_t c = count[e];
+      touched[distinct] = e;
+      distinct += c == 0;
+      count[e] = c + 1;
+      // Branch-free: which thread touches an element is random data.
+      const std::uint8_t o = owner[e];
+      owner[e] = o == kOwnerNone || o == otid ? otid : kOwnerShared;
+      const std::size_t t = std::min<std::size_t>(block_of(e), threads - 1);
+      const bool counted = last_counted[t] == i;
+      last_counted[t] = i;
+      lw_work[t] += !counted;
+      owners += !counted;
+      if (short_iteration) uniq += std::find(first, r, e) == r;
     }
-    // Distinct elements of this iteration (MO numerator).
-    std::sort(scratch.begin(), scratch.end());
-    const auto uniq = static_cast<std::size_t>(
-        std::unique(scratch.begin(), scratch.end()) - scratch.begin());
+    if (!short_iteration) {
+      sorted.assign(first, last);
+      std::sort(sorted.begin(), sorted.end());
+      uniq = static_cast<std::size_t>(
+          std::unique(sorted.begin(), sorted.end()) - sorted.begin());
+    }
+    sampled_refs += static_cast<std::size_t>(last - first);
     sum_iter_distinct += uniq;
-    // Owner threads of this iteration (lw replication), via the same block
-    // partition of the element space lw uses.
-    std::size_t owners = 0;
-    unsigned last_owner = ~0u;
-    for (std::size_t k = 0; k < uniq; ++k) {
-      const unsigned t =
-          LocalWriteScheme<>::owner_of(scratch[k], p.dim, threads);
-      if (t != last_owner) {
-        // scratch sorted => same owner elements are adjacent
-        ++owners;
-        lw_work[t] += 1;
-        last_owner = t;
-      }
-    }
     sum_owner_sets += owners;
   }
+
+  // Post-pass over the touched elements: sharing, and the reference counts
+  // binned for the CH histogram and the Gini sum.
+  std::size_t shared = 0;
+  std::vector<std::size_t> bins(std::min(kCountBins, sampled_refs + 1), 0);
+  std::vector<std::uint32_t> large;
+  for (std::size_t k = 0; k < distinct; ++k) {
+    const std::uint32_t e = touched[k];
+    shared += owner[e] == kOwnerShared;
+    const std::uint32_t c = count[e];
+    if (c < bins.size())
+      ++bins[c];
+    else
+      large.push_back(c);
+  }
+  std::sort(large.begin(), large.end());
 
   // Scale sampled counts back to the full loop.
   const double scale = static_cast<double>(stride);
 
-  std::size_t distinct = 0, shared = 0;
-  for (std::size_t e = 0; e < p.dim; ++e) {
-    if (count[e] > 0) ++distinct;
-    if (owner[e] == kOwnerShared) ++shared;
-  }
   // Sampling misses elements; scale the distinct estimate but never past
   // the array dimension (exact when stride == 1).
   s.distinct = stride == 1
@@ -137,20 +198,19 @@ PatternStats characterize(const AccessPattern& p, unsigned threads,
                      static_cast<double>(p.dim)
                : 0.0;
   s.dim_ratio = static_cast<double>(p.dim * sizeof(double)) /
-                static_cast<double>(opt.cache_bytes);
+                static_cast<double>(kCacheBytes);
   s.chr = p.dim ? static_cast<double>(s.refs) /
                       (static_cast<double>(threads) *
                        static_cast<double>(p.dim))
                 : 0.0;
 
   // CH histogram (counts capped).
-  s.ch.assign(opt.ch_cap + 1, 0);
-  for (std::size_t e = 0; e < p.dim; ++e) {
-    if (count[e] == 0) continue;
-    const std::size_t k = std::min<std::size_t>(count[e], opt.ch_cap);
-    ++s.ch[k];
-  }
-  s.chd_gini = gini_of_counts(count);
+  s.ch.assign(kChCap + 1, 0);
+  for (std::size_t c = 1; c < bins.size(); ++c)
+    s.ch[std::min(c, kChCap)] += bins[c];
+  for (const std::uint32_t c : large)
+    ++s.ch[std::min<std::size_t>(c, kChCap)];
+  s.chd_gini = gini_of_counts(bins, large, distinct, sampled_refs);
 
   // Thread-dependent measures. Touched-per-thread estimated from the owner
   // classification: exclusives touch one thread, shared ones we charge to

@@ -32,14 +32,9 @@ namespace sapp {
 
 /// Knobs for the characterizer.
 struct CharacterizeOptions {
-  /// Cache capacity used for the DIM measure (bytes). Default matches the
-  /// paper's simulated L2 (512 KB).
-  std::size_t cache_bytes = 512 * 1024;
   /// Inspect every `sample_stride`-th iteration (1 = exact). Counts are
   /// scaled back up; "fast, approximative methods" per the paper.
   std::size_t sample_stride = 1;
-  /// Cap for the CH histogram's per-element count bucket.
-  std::size_t ch_cap = 64;
 };
 
 /// Everything the decision model needs to know about one reduction loop.
@@ -54,11 +49,11 @@ struct PatternStats {
   double mo = 0.0;   ///< distinct elements per iteration (mean)
   double con = 0.0;  ///< refs / distinct
   double sp = 0.0;   ///< 100 * distinct / dim  (percent)
-  double dim_ratio = 0.0;  ///< dim * sizeof(double) / cache_bytes
+  double dim_ratio = 0.0;  ///< dim * sizeof(double) / 512 KB (paper's L2)
   double chr = 0.0;  ///< refs / (P * dim)
 
   /// CH histogram: ch[k] = number of elements referenced k times
-  /// (k capped at ch_cap; index 0 unused).
+  /// (k capped at 64, so ch has 65 entries; index 0 unused).
   std::vector<std::uint64_t> ch;
   double chd_gini = 0.0;  ///< skew of CH distribution, 0 = uniform
 
@@ -75,7 +70,10 @@ struct PatternStats {
 };
 
 /// Compute stats for `p` as seen by `threads` workers under the block
-/// schedule all schemes use.
+/// schedule all schemes use. One pass over the (sampled) references and
+/// one over the distinct elements they touch: O(refs + distinct) time past
+/// zeroing 5 bytes of scratch per element of `dim`; the touched list adds
+/// 4 bytes per distinct element.
 [[nodiscard]] PatternStats characterize(const AccessPattern& p,
                                         unsigned threads,
                                         const CharacterizeOptions& opt = {});

@@ -6,11 +6,11 @@
 // learned for, the thread count it is valid under, and the minimum time
 // its measured trial settled at. On a warm start `sapp::Runtime` adopts
 // the remembered scheme directly and skips the first-invocation
-// characterization, decision and trial (the expensive O(refs + dim)
-// inspector sweep), and the minimum arms the timing demotion immediately —
-// a warm-started site that this host or input contradicts
-// re-characterizes within its first window instead of trusting the stale
-// scheme.
+// characterization, decision and trial (the O(refs + distinct) inspector
+// pass, the costliest step of a cold start), and the minimum arms the
+// timing demotion immediately — a warm-started site that this host or
+// input contradicts re-characterizes within its first window instead of
+// trusting the stale scheme.
 // A cached entry is only adopted when the first observed pattern still
 // matches its recorded signature — otherwise the site falls back to the
 // normal characterize-and-decide path.

@@ -35,8 +35,9 @@ namespace {
 
 /// The experiment's loop sites: paper workload generators (sparse-biased —
 /// the regime the decision cache exists for) plus synthetic fillers, all
-/// carrying their loop_id site tag. Dimensions are fixed (they set the
-/// characterizer's O(dim) sweep); iteration counts scale.
+/// carrying their loop_id site tag. Dimensions are fixed (they size the
+/// schemes' per-element arrays and the characterizer's per-element
+/// scratch); iteration counts scale.
 std::vector<ReductionInput> build_sites(double scale) {
   const auto iters = [&](std::size_t n) {
     return std::max<std::size_t>(200, static_cast<std::size_t>(

@@ -3,13 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <map>
+#include <numeric>
+#include <string>
 
 #include "core/adaptive.hpp"
 #include "core/runtime.hpp"
+#include "reductions/scheme_lw.hpp"
 #include "scoped_temp_dir.hpp"
 #include "workloads/paramsets.hpp"
 #include "workloads/workload.hpp"
@@ -105,6 +109,259 @@ TEST(Characterize, LwReplicationOnSplitPattern) {
   p.refs = Csr(std::move(ptr), std::move(idx));
   const PatternStats s = characterize(p, 2);
   EXPECT_NEAR(s.lw_replication, 2.0, 1e-9);
+}
+
+// ---------------- characterize oracle ----------------
+
+// The straightforward characterizer `characterize` must reproduce bit for
+// bit: dim-sized count and owner arrays swept three times, a sort per
+// iteration, a divide per distinct reference and a sorted copy of every
+// nonzero count for the Gini coefficient. Test-only.
+PatternStats characterize_reference(const AccessPattern& p, unsigned threads,
+                                    std::size_t stride) {
+  constexpr std::size_t kCacheBytes = 512 * 1024;
+  constexpr std::size_t kChCap = 64;
+  PatternStats s;
+  s.dim = p.dim;
+  s.iterations = p.refs.rows();
+  s.refs = p.refs.nnz();
+  s.threads = threads;
+  s.lw_legal = p.iteration_replication_legal;
+
+  const auto& ptr = p.refs.row_ptr();
+  const auto& idx = p.refs.indices();
+  const std::size_t n = s.iterations;
+
+  std::vector<std::uint32_t> count(p.dim, 0);
+  constexpr std::uint8_t kOwnerNone = 0xFF;
+  constexpr std::uint8_t kOwnerShared = 0xFE;
+  std::vector<std::uint8_t> owner(p.dim, kOwnerNone);
+
+  std::size_t sampled_iters = 0;
+  std::size_t sampled_refs = 0;
+  std::size_t sum_iter_distinct = 0;
+  std::size_t sum_owner_sets = 0;
+  std::vector<std::size_t> lw_work(threads, 0);
+  std::vector<std::uint32_t> scratch;
+
+  for (std::size_t i = 0; i < n; i += stride) {
+    ++sampled_iters;
+    const unsigned tid = static_cast<unsigned>(
+        std::min<std::size_t>(threads - 1, i * threads / (n ? n : 1)));
+    const unsigned otid = tid < 0xFDu ? tid : 0xFDu;
+    scratch.clear();
+    for (std::uint64_t j = ptr[i]; j < ptr[i + 1]; ++j) {
+      const std::uint32_t e = idx[j];
+      ++count[e];
+      ++sampled_refs;
+      auto& o = owner[e];
+      if (o == kOwnerNone)
+        o = static_cast<std::uint8_t>(otid);
+      else if (o != otid && o != kOwnerShared)
+        o = kOwnerShared;
+      scratch.push_back(e);
+    }
+    std::sort(scratch.begin(), scratch.end());
+    const auto uniq = static_cast<std::size_t>(
+        std::unique(scratch.begin(), scratch.end()) - scratch.begin());
+    sum_iter_distinct += uniq;
+    std::size_t owners = 0;
+    unsigned last_owner = ~0u;
+    for (std::size_t k = 0; k < uniq; ++k) {
+      const unsigned t =
+          LocalWriteScheme<>::owner_of(scratch[k], p.dim, threads);
+      if (t != last_owner) {
+        ++owners;
+        lw_work[t] += 1;
+        last_owner = t;
+      }
+    }
+    sum_owner_sets += owners;
+  }
+
+  const double scale = static_cast<double>(stride);
+  std::size_t distinct = 0, shared = 0;
+  for (std::size_t e = 0; e < p.dim; ++e) {
+    if (count[e] > 0) ++distinct;
+    if (owner[e] == kOwnerShared) ++shared;
+  }
+  s.distinct = stride == 1
+                   ? distinct
+                   : std::min<std::size_t>(
+                         p.dim, static_cast<std::size_t>(distinct * scale));
+  s.refs = stride == 1 ? sampled_refs
+                       : static_cast<std::size_t>(sampled_refs * scale);
+  s.mo = sampled_iters ? static_cast<double>(sum_iter_distinct) /
+                             static_cast<double>(sampled_iters)
+                       : 0.0;
+  s.con = s.distinct ? static_cast<double>(s.refs) /
+                           static_cast<double>(s.distinct)
+                     : 0.0;
+  s.sp = p.dim ? 100.0 * static_cast<double>(s.distinct) /
+                     static_cast<double>(p.dim)
+               : 0.0;
+  s.dim_ratio = static_cast<double>(p.dim * sizeof(double)) /
+                static_cast<double>(kCacheBytes);
+  s.chr = p.dim ? static_cast<double>(s.refs) /
+                      (static_cast<double>(threads) *
+                       static_cast<double>(p.dim))
+                : 0.0;
+
+  s.ch.assign(kChCap + 1, 0);
+  for (std::size_t e = 0; e < p.dim; ++e) {
+    if (count[e] == 0) continue;
+    ++s.ch[std::min<std::size_t>(count[e], kChCap)];
+  }
+  std::vector<std::uint32_t> nz;
+  for (auto c : count)
+    if (c > 0) nz.push_back(c);
+  if (nz.size() >= 2) {
+    std::sort(nz.begin(), nz.end());
+    const double nn = static_cast<double>(nz.size());
+    double cum = 0.0, weighted = 0.0;
+    for (std::size_t i = 0; i < nz.size(); ++i) {
+      cum += nz[i];
+      weighted += static_cast<double>(i + 1) * nz[i];
+    }
+    if (cum != 0.0)
+      s.chd_gini = (2.0 * weighted) / (nn * cum) - (nn + 1.0) / nn;
+  }
+
+  const double excl = static_cast<double>(distinct - shared);
+  s.touched_per_thread =
+      threads ? (excl / threads + static_cast<double>(shared)) * scale : 0.0;
+  s.touched_per_thread = std::min(s.touched_per_thread,
+                                  static_cast<double>(p.dim));
+  s.shared_fraction =
+      distinct ? static_cast<double>(shared) / static_cast<double>(distinct)
+               : 0.0;
+  s.lw_replication = sampled_iters ? static_cast<double>(sum_owner_sets) /
+                                         static_cast<double>(sampled_iters)
+                                   : 0.0;
+  const double lw_total = static_cast<double>(
+      std::accumulate(lw_work.begin(), lw_work.end(), std::size_t{0}));
+  if (lw_total > 0.0) {
+    const double mx =
+        static_cast<double>(*std::max_element(lw_work.begin(), lw_work.end()));
+    s.lw_imbalance = mx / (lw_total / static_cast<double>(threads));
+  }
+  return s;
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+// Every PatternStats field, doubles compared as bit patterns.
+void expect_same_stats(const PatternStats& got, const PatternStats& want,
+                       const std::string& where) {
+  SCOPED_TRACE(where);
+  EXPECT_EQ(got.dim, want.dim);
+  EXPECT_EQ(got.iterations, want.iterations);
+  EXPECT_EQ(got.refs, want.refs);
+  EXPECT_EQ(got.distinct, want.distinct);
+  EXPECT_EQ(bits(got.mo), bits(want.mo));
+  EXPECT_EQ(bits(got.con), bits(want.con));
+  EXPECT_EQ(bits(got.sp), bits(want.sp));
+  EXPECT_EQ(bits(got.dim_ratio), bits(want.dim_ratio));
+  EXPECT_EQ(bits(got.chr), bits(want.chr));
+  EXPECT_EQ(got.ch, want.ch);
+  EXPECT_EQ(bits(got.chd_gini), bits(want.chd_gini));
+  EXPECT_EQ(got.threads, want.threads);
+  EXPECT_EQ(bits(got.touched_per_thread), bits(want.touched_per_thread));
+  EXPECT_EQ(bits(got.shared_fraction), bits(want.shared_fraction));
+  EXPECT_EQ(bits(got.lw_replication), bits(want.lw_replication));
+  EXPECT_EQ(bits(got.lw_imbalance), bits(want.lw_imbalance));
+  EXPECT_EQ(got.lw_legal, want.lw_legal);
+}
+
+// 300 exercises the owner byte's clamp; characterize starts no threads.
+constexpr unsigned kOracleThreads[] = {1, 2, 3, 4, 5, 300};
+constexpr std::size_t kOracleStrides[] = {1, 16};
+
+void expect_matches_reference(const AccessPattern& p, const std::string& name) {
+  for (const unsigned threads : kOracleThreads)
+    for (const std::size_t stride : kOracleStrides) {
+      CharacterizeOptions opt;
+      opt.sample_stride = stride;
+      expect_same_stats(characterize(p, threads, opt),
+                        characterize_reference(p, threads, stride),
+                        name + " threads=" + std::to_string(threads) +
+                            " stride=" + std::to_string(stride));
+    }
+}
+
+AccessPattern pattern_of(std::size_t dim, std::vector<std::uint64_t> ptr,
+                         std::vector<std::uint32_t> idx) {
+  AccessPattern p;
+  p.dim = dim;
+  p.refs = Csr(std::move(ptr), std::move(idx));
+  return p;
+}
+
+TEST(CharacterizeOracle, Fig3RowsMatchReferenceBitwise) {
+  for (const std::uint64_t seed : {std::uint64_t{1}, std::uint64_t{2002}})
+    for (const auto& r : workloads::fig3_rows(0.05, seed))
+      expect_matches_reference(r.workload.input.pattern,
+                               r.workload.app + "/" + r.workload.loop + " " +
+                                   r.workload.variant +
+                                   " seed=" + std::to_string(seed));
+}
+
+TEST(CharacterizeOracle, ServingSitesMatchReferenceBitwise) {
+  for (std::size_t i = 0; i < 400; ++i)
+    expect_matches_reference(
+        workloads::make_serving_site(i, 1.0, 1).input.pattern,
+        "serve/s" + std::to_string(i));
+}
+
+TEST(CharacterizeOracle, DegenerateShapesMatchReferenceBitwise) {
+  // Zero iterations, and iterations without references.
+  expect_matches_reference(pattern_of(64, {0}, {}), "zero iterations");
+  expect_matches_reference(pattern_of(64, {0, 0, 0, 0}, {}), "zero refs");
+  expect_matches_reference(pattern_of(0, {0, 0, 0}, {}), "zero dim");
+  // One element, referenced by every iteration.
+  std::vector<std::uint64_t> ptr{0};
+  std::vector<std::uint32_t> idx;
+  for (int i = 0; i < 40; ++i) {
+    idx.push_back(0);
+    ptr.push_back(idx.size());
+  }
+  expect_matches_reference(pattern_of(1, ptr, idx), "single element dim=1");
+  expect_matches_reference(pattern_of(64, ptr, idx), "single element dim=64");
+}
+
+TEST(CharacterizeOracle, RepeatsLongIterationsAndUnevenBlocksMatchReference) {
+  // dim 1,001 divides by none of 2..5 or 300. Iterations mix repeated
+  // elements, a 65- and a 200-reference iteration (past the short-iteration
+  // dedup), and elements referenced more than 1,024 times (past the count
+  // bins).
+  std::vector<std::uint64_t> ptr{0};
+  std::vector<std::uint32_t> idx;
+  std::uint64_t x = 12345;
+  auto next = [&x] {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    return static_cast<std::uint32_t>(x >> 33);
+  };
+  for (std::size_t i = 0; i < 5000; ++i) {
+    const std::size_t len = i == 7 ? 65 : i == 2500 ? 200 : 1 + next() % 6;
+    for (std::size_t k = 0; k < len; ++k) {
+      const std::uint32_t e = next() % 4 == 0 ? next() % 2  // hot elements
+                              : k > 0 && next() % 3 == 0
+                                  ? idx.back()  // repeat within the iteration
+                                  : next() % 1001;
+      idx.push_back(e);
+    }
+    ptr.push_back(idx.size());
+  }
+  expect_matches_reference(pattern_of(1001, ptr, idx), "mixed dim=1001");
+  // Every iteration the same 70 elements, each repeated: the sort path on
+  // every iteration, and one count per element of 2 · iterations.
+  ptr.assign(1, 0);
+  idx.clear();
+  for (std::size_t i = 0; i < 50; ++i) {
+    for (std::uint32_t k = 0; k < 140; ++k) idx.push_back((k * 37) % 70);
+    ptr.push_back(idx.size());
+  }
+  expect_matches_reference(pattern_of(77, ptr, idx), "long repeats dim=77");
 }
 
 // ---------------- decision ----------------
